@@ -8,10 +8,15 @@ the deterministic 12-witness set below 2**64 and fixed prime witnesses above.
 
 The quantities of interest downstream are the group orders q**m - 1 and
 their derived multiplicative functions: omega (distinct prime count),
-W = 2**omega (squarefree divisor count), phi and mu.  Exact rationals for
-the sieve quantities delta and Delta are plain fractions.Fraction values;
-`decimal_lower` / `decimal_upper` render them with directed rounding for
-comparison against printed table digits.
+W = 2**omega (squarefree divisor count), phi and mu.  Where only W
+matters, `omega_bounds_qm_minus_1` brackets omega(q**m - 1) by trial
+division alone, so Pollard rho runs only when the bracket is not enough.
+Cached factorizations are checked on read (primes prime, product equal to
+the key), so a corrupt cache file costs time, never a wrong W.
+
+Exact rationals for the sieve quantities delta and Delta are plain
+fractions.Fraction values; `decimal_lower` / `decimal_upper` render them
+with directed rounding for comparison against printed table digits.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import json
 import math
 import os
 import tempfile
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -53,7 +59,7 @@ def primes_upto(limit: int) -> list[int]:
                 sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
         _sieve_primes = [i for i in range(limit + 1) for _ in range(sieve[i])]
         _sieve_limit = limit
-    return [p for p in _sieve_primes if p <= limit]
+    return _sieve_primes[: bisect_right(_sieve_primes, limit)]
 
 
 def nth_primes(k: int) -> list[int]:
@@ -63,10 +69,10 @@ def nth_primes(k: int) -> list[int]:
         raise ValueError("k must be positive")
     if k > 78498:  # primes below TRIAL_LIMIT
         raise ValueError("k beyond configured sieve bound")
-    if len(_sieve_primes) < k or _sieve_limit < 13:
+    if len(_sieve_primes) < k:
         # p_k < k(ln k + ln ln k) for k >= 6; small k padded
         bound = 100 if k < 25 else int(k * (math.log(k) + math.log(math.log(k)))) + 10
-        primes_upto(min(max(bound, 100), TRIAL_LIMIT))
+        primes_upto(min(bound, TRIAL_LIMIT))
     return _sieve_primes[:k]
 
 
@@ -122,13 +128,36 @@ def _get_trial_chunks() -> list[tuple[list[int], int]]:
     return _trial_chunks
 
 
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """Split n >= 1 into {p: e} over its primes below TRIAL_LIMIT and the
+    cofactor, every prime factor of which exceeds TRIAL_LIMIT."""
+    fac: dict[int, int] = {}
+    rem = n
+    for chunk, prod in _get_trial_chunks():
+        if rem == 1:
+            break
+        g = math.gcd(rem, prod)
+        if g == 1:
+            continue
+        for p in chunk:
+            if g % p == 0:
+                e = 0
+                while rem % p == 0:
+                    rem //= p
+                    e += 1
+                fac[p] = e
+                g //= p
+                if g == 1:
+                    break
+    return fac, rem
+
+
 def _perfect_power(n: int) -> tuple[int, int]:
     """Return (b, k) with b**k == n and k maximal, or (n, 1)."""
-    for k in range(int(math.log2(n)), 1, -1):
-        b = round(n ** (1.0 / k))
-        for cand in (b - 1, b, b + 1):
-            if cand > 1 and cand ** k == n:
-                return cand, k
+    for k in range(n.bit_length() - 1, 1, -1):
+        b = iroot(n, k)
+        if b ** k == n:
+            return b, k
     return n, 1
 
 
@@ -230,26 +259,7 @@ def factor(n: int, *, cache: "FactorCache | None" = None,
         if hit is not None:
             return factored(n, hit)
 
-    fac: dict[int, int] = {}
-    rem = n
-    for chunk, prod in _get_trial_chunks():
-        if rem == 1:
-            break
-        g = math.gcd(rem, prod)
-        if g == 1:
-            continue
-        for p in chunk:
-            if g % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                fac[p] = e
-                g //= p
-                if g == 1:
-                    break
-
-    # remaining cofactor has all prime factors > TRIAL_LIMIT
+    fac, rem = _trial_divide(n)
     stack = [rem] if rem > 1 else []
     while stack:
         c = stack.pop()
@@ -300,6 +310,49 @@ def factor_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
         out = merge_factored(out, factor(cyclotomic_value(d, q), cache=cache, budget=budget))
     assert out.value == q ** m - 1
     return out
+
+
+def omega_bounds_qm_minus_1(q: int, m: int, *,
+                            cache: "FactorCache | None" = None) -> tuple[int, int]:
+    """(lo, hi) with lo <= omega(q**m - 1) <= hi, from trial division alone.
+
+    Each part Phi_d(q), d | m, is read from the cache or trial-divided to
+    TRIAL_LIMIT.  A cofactor that is 1 or passes is_probable_prime makes
+    the part exact (and the part is cached); a composite cofactor c has at
+    least 1 and at most k distinct primes, k the largest with
+    TRIAL_LIMIT**k < c, since each of them exceeds TRIAL_LIMIT.
+
+    Primes are unioned across parts and cofactor counts add.  This is
+    sound because a prime dividing Phi_d(q) and Phi_e(q) for d != e must
+    divide m: with d0 the order of q mod p, p | Phi_d(q) only for
+    d = d0 * p**j, j >= 0, so one of d, e is a multiple of p.  As
+    m < TRIAL_LIMIT, a shared prime is one trial division finds, never one
+    inside two cofactors."""
+    if not 1 <= m < TRIAL_LIMIT:
+        raise ValueError("omega bounds need 1 <= m < TRIAL_LIMIT")
+    primes: set[int] = set()
+    lo = hi = 0  # distinct primes inside the composite cofactors
+    for d in _divisors_of(m):
+        part = cyclotomic_value(d, q)
+        hit = cache.get(part) if cache is not None else None
+        if hit is not None:
+            primes.update(p for p, _ in hit)
+            continue
+        fac, rem = _trial_divide(part)
+        primes.update(fac)
+        if rem > 1 and not is_probable_prime(rem):
+            k = 1
+            while TRIAL_LIMIT ** (k + 1) < rem:
+                k += 1
+            lo += 1
+            hi += k
+            continue
+        if rem > 1:
+            primes.add(rem)
+            fac[rem] = 1
+        if cache is not None and part > 1:
+            cache.put(part, factored(part, fac.items()).factors)
+    return len(primes) + lo, len(primes) + hi
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +455,13 @@ def decimal_upper(x: Fraction, places: int = 10) -> str:
 class FactorCache:
     """JSON file mapping decimal integer strings to factor lists.  Loaded
     lazily; writes go through a temp file + os.replace so a crash cannot
-    leave a torn file."""
+    leave a torn file.  Entries are checked on first read, so a corrupt or
+    hostile file can only cause misses."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self._data: dict[str, list[list[int]]] | None = None
+        self._valid: dict[int, tuple[tuple[int, int], ...]] = {}
         self._dirty = False
 
     def _load(self) -> dict[str, list[list[int]]]:
@@ -416,16 +471,34 @@ class FactorCache:
                     self._data = json.load(fh)
             except (OSError, ValueError):
                 self._data = {}
+            if not isinstance(self._data, dict):
+                self._data = {}
         return self._data
 
     def get(self, n: int):
+        """The factors of n as sorted (p, e) pairs, or None.  An entry
+        that is malformed, lists a non-prime or does not recompose to n
+        counts as a miss."""
+        if n in self._valid:
+            return self._valid[n]
         entry = self._load().get(str(n))
         if entry is None:
             return None
-        return tuple((p, e) for p, e in entry)
+        try:
+            pairs = [(p, e) for p, e in entry]
+            if not all(type(p) is int and type(e) is int and 1 < p <= n
+                       and 0 < e and (p.bit_length() - 1) * e < n.bit_length()
+                       and is_probable_prime(p) for p, e in pairs):
+                return None
+            factors = factored(n, pairs).factors
+        except (TypeError, ValueError):
+            return None
+        self._valid[n] = factors
+        return factors
 
     def put(self, n: int, factors) -> None:
         self._load()[str(n)] = [[p, e] for p, e in factors]
+        self._valid[n] = tuple(factors)
         self._dirty = True
 
     def __len__(self) -> int:

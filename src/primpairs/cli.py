@@ -57,7 +57,6 @@ class RunConfig:
 
     threads: int = 1
     seed: int = 0
-    prime_sieve_limit: int = 10 ** 6
     factor_budget: int = DEFAULT_FACTOR_BUDGET
     enum_budget: int = DEFAULT_ALPHA_BUDGET
     dlog_limit: int = DLOG_LIMIT
@@ -70,8 +69,8 @@ class RunConfig:
         self._cache_obj: FactorCache | None = None
 
     def validate(self) -> None:
-        for name in ("threads", "prime_sieve_limit", "factor_budget",
-                     "enum_budget", "dlog_limit"):
+        for name in ("threads", "factor_budget", "enum_budget",
+                     "dlog_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.tolerance < 0.5:
@@ -290,7 +289,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--budget-enum", type=int,
                         default=DEFAULT_ALPHA_BUDGET)
     parser.add_argument("--dlog-limit", type=int, default=DLOG_LIMIT)
-    parser.add_argument("--prime-sieve-limit", type=int, default=10 ** 6)
     parser.add_argument("--tolerance", type=float, default=1e-9)
     parser.add_argument("--out", default=None)
 
@@ -341,7 +339,6 @@ def main(argv=None) -> int:
     if getattr(args, "sub_seed", None) is not None:
         args.seed = args.sub_seed
     cfg = RunConfig(threads=args.threads, seed=args.seed,
-                    prime_sieve_limit=args.prime_sieve_limit,
                     factor_budget=args.budget_factor,
                     enum_budget=args.budget_enum,
                     dlog_limit=args.dlog_limit,

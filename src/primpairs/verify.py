@@ -20,6 +20,7 @@ from .arith import (
     FactorCache,
     factor,
     factor_qm_minus_1,
+    omega_bounds_qm_minus_1,
     prime_powers_upto,
     squarefree_divisor_count,
 )
@@ -449,15 +450,27 @@ def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
                     progress=None) -> list[ScanRecord]:
     """Every prime power under the threshold cascade whose exact main
     condition fails, ordered by (m, q).  Each of these pairs must then be
-    settled by certificate_search or brute force."""
+    settled by certificate_search or brute force.
+
+    main_margin falls as W = 2**omega grows, so the trial-division bracket
+    lo <= omega(q**m - 1) <= hi decides most pairs: margin > 0 at 2**hi
+    means the condition holds, margin < 0 at 2**lo means it fails without
+    equality.  Only a pair whose bracket straddles margin 0 is factored in
+    full (Pollard rho); equality is read only from an exact W."""
     out = []
     kwargs = {} if budget is None else {"budget": budget}
     cascade = threshold_cascade(n)
     for m in sorted(cascade):
         qmax = cascade[m]
         for q in prime_powers_upto(qmax):
-            group = factor_qm_minus_1(q, m, cache=cache, **kwargs)
-            margin = main_margin(q, m, n, squarefree_divisor_count(group))
+            lo, hi = omega_bounds_qm_minus_1(q, m, cache=cache)
+            margin = main_margin(q, m, n, 1 << hi)
+            if margin <= 0 and lo < hi:
+                margin = main_margin(q, m, n, 1 << lo)
+                if margin >= 0:  # the bracket straddles 0: factor in full
+                    group = factor_qm_minus_1(q, m, cache=cache, **kwargs)
+                    margin = main_margin(q, m, n,
+                                         squarefree_divisor_count(group))
             if margin <= 0:
                 out.append(ScanRecord(q, m, margin == 0))
         if progress is not None:

@@ -1,8 +1,9 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from primpairs import arith
 from primpairs.arith import (
@@ -18,6 +19,7 @@ from primpairs.arith import (
     moebius,
     nth_primes,
     omega,
+    omega_bounds_qm_minus_1,
     primes_upto,
     squarefree_divisor_count,
     squarefree_divisors,
@@ -28,6 +30,13 @@ def test_primes_upto_small():
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_upto(1) == []
     assert primes_upto(2) == [2]
+
+
+def test_primes_upto_small_limit_after_large_sieve():
+    primes_upto(10 ** 5)
+    assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_upto(97)[-1] == 97
+    assert len(primes_upto(10 ** 5)) == 9592
 
 
 def test_nth_primes():
@@ -92,6 +101,14 @@ def test_factor_recomposes(n):
     assert all(is_probable_prime(p) for p in f.primes)
 
 
+def test_perfect_power_beyond_float_range():
+    p = 2 ** 607 - 1
+    assert arith._perfect_power(p ** 3) == (p, 3)
+    n = 2 ** 1100 + 1  # not a perfect power (Mihailescu)
+    assert arith._perfect_power(n) == (n, 1)
+    assert arith._perfect_power(1_000_003 ** 6) == (1_000_003, 6)
+
+
 def test_factored_integer_validation():
     with pytest.raises(ValueError):
         FactoredInteger(12, ((2, 2),))          # wrong product
@@ -104,6 +121,36 @@ def test_factored_integer_validation():
 def test_factor_qm_minus_1_matches_direct():
     for q, m in [(2, 12), (3, 8), (5, 6), (4, 16), (9, 5), (32, 7)]:
         assert factor_qm_minus_1(q, m).factors == factor(q ** m - 1).factors
+
+
+# pairs whose bracket is not exact: Phi_13(q) leaves a composite cofactor
+@example(31, 13)
+@example(53, 13)
+@example(49, 13)
+@given(st.sampled_from(arith.prime_powers_upto(64)),
+       st.integers(min_value=1, max_value=15))
+def test_omega_bounds_contain_omega(q, m):
+    lo, hi = omega_bounds_qm_minus_1(q, m)
+    exact = omega(factor_qm_minus_1(q, m))
+    assert lo <= exact <= hi
+    if lo == hi:
+        assert lo == exact
+
+
+def test_omega_bounds_strict_bracket():
+    # Phi_13(53) keeps a composite cofactor after trial division
+    assert omega_bounds_qm_minus_1(53, 13) == (3, 5)
+    assert omega(factor_qm_minus_1(53, 13)) == 4
+
+
+def test_omega_bounds_read_and_fill_cache(tmp_path):
+    c = FactorCache(tmp_path / "cache.json")
+    assert omega_bounds_qm_minus_1(12, 2, cache=c) == (2, 2)  # 11 * 13
+    assert c.get(13) == ((13, 1),) and c.get(11) == ((11, 1),)
+    factor_qm_minus_1(53, 13, cache=c)  # caches the composite part
+    assert omega_bounds_qm_minus_1(53, 13, cache=c) == (4, 4)
+    with pytest.raises(ValueError):
+        omega_bounds_qm_minus_1(2, arith.TRIAL_LIMIT)
 
 
 def test_cyclotomic_values():
@@ -178,6 +225,33 @@ def test_factor_cache_missing_file_ok(tmp_path):
     assert c.get(10) is None
     c.save()  # nothing dirty: must not create the file
     assert not (tmp_path / "no_such.json").exists()
+
+
+@pytest.mark.parametrize("entry", [
+    [[91, 1]],            # composite listed as prime
+    [[7, 1], [11, 1]],    # does not recompose
+    [[7, 1], [13, 1], [13, 1]],  # repeated prime
+    [[7, 1.0], [13, 1]],  # non-integer exponent
+    [[2, 10 ** 9]],       # absurd exponent
+    "7 * 13",
+    [[7], [13]],
+    None,
+])
+def test_factor_cache_rejects_invalid_entry(tmp_path, entry):
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"91": entry}))
+    c = FactorCache(path)
+    assert c.get(91) is None
+    assert str(factor(91, cache=c)) == "7 * 13"
+    assert c.get(91) == ((7, 1), (13, 1))
+
+
+def test_factor_cache_non_object_file(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text("[[91, 1]]")
+    c = FactorCache(path)
+    assert c.get(91) is None
+    assert factor(91, cache=c).factors == ((7, 1), (13, 1))
 
 
 def test_factored_str():

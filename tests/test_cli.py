@@ -172,6 +172,14 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert json.loads(cache.read_text())["2186"] == [[2, 1], [1093, 1]]
 
 
+def test_factor_ignores_poisoned_cache_entry(capsys, tmp_path):
+    cache = tmp_path / "factors.json"
+    cache.write_text(json.dumps({"91": [[91, 1]]}))
+    code, out, _ = run(capsys, "--cache", str(cache), "factor", "91")
+    assert code == 0 and out == "7 13\n"
+    assert json.loads(cache.read_text())["91"] == [[7, 1], [13, 1]]
+
+
 def test_exit_code_invalid_input(capsys):
     code, _, err = run(capsys, "check", "9", "4", "2")  # m < 5
     assert code == 3 and "invalid input" in err

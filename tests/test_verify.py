@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from primpairs import verify as V
-from primpairs.arith import euler_phi
+from primpairs.arith import euler_phi, omega_bounds_qm_minus_1
+from primpairs.bounds import main_margin
 from primpairs.characters import count_via_characters
 from primpairs.ff import RationalFunction, build_ctx
 from primpairs.refdata import load_certificate_rows
@@ -363,3 +364,23 @@ def test_brute_force_agrees_with_characters_on_F81(F81):
             approx = count_via_characters(f, a, b, 80, 80)
             exact = brute_force_count(f, a, b, 80, 80)
             assert round(approx) == exact
+
+
+def test_scan_factors_only_straddling_pairs(monkeypatch):
+    """scan_exceptions decides the main condition from the trial-division
+    bracket on omega; full factoring (Pollard rho) runs only on the pairs
+    whose bracket straddles margin 0, 47 of the 3,016 for n = 2."""
+    full = V.factor_qm_minus_1
+    sent = []
+
+    def counting(q, m, **kwargs):
+        sent.append((q, m))
+        return full(q, m, **kwargs)
+
+    monkeypatch.setattr(V, "factor_qm_minus_1", counting)
+    records = V.scan_exceptions(2)
+    assert len(records) == 495
+    assert len(sent) < 60
+    for q, m in sent:
+        lo, hi = omega_bounds_qm_minus_1(q, m)
+        assert main_margin(q, m, 2, 1 << hi) <= 0 <= main_margin(q, m, 2, 1 << lo)
