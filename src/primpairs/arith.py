@@ -153,12 +153,20 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
 
 
 def _perfect_power(n: int) -> tuple[int, int]:
-    """Return (b, k) with b**k == n and k maximal, or (n, 1)."""
-    for k in range(n.bit_length() - 1, 1, -1):
-        b = iroot(n, k)
-        if b ** k == n:
+    """Return (b, k) with b**k == n and k maximal, or (n, 1).
+
+    Only prime exponents are tried: n is an r-th power for every prime r
+    dividing the maximal k, so taking prime roots while one is exact ends
+    at the same b and k."""
+    b, k = n, 1
+    while True:
+        for r in primes_upto(b.bit_length() - 1):
+            root = iroot(b, r)
+            if root ** r == b:
+                b, k = root, k * r
+                break
+        else:
             return b, k
-    return n, 1
 
 
 def _brent_rho(n: int, budget: int) -> int:
@@ -287,15 +295,15 @@ def _divisors_of(n: int) -> list[int]:
 
 def cyclotomic_value(d: int, q: int) -> int:
     """Phi_d(q), the d-th cyclotomic polynomial at q, via the Moebius
-    product Phi_d(q) = prod_{e|d} (q^e - 1)^mu(d/e).  Exact division."""
+    product Phi_d(q) = prod over squarefree s | d of (q^(d/s) - 1)^mu(s),
+    from one factorization of d.  Exact division."""
     num = 1
     den = 1
-    for e in _divisors_of(d):
-        mu = moebius(factor(d // e))
-        if mu == 1:
-            num *= q ** e - 1
-        elif mu == -1:
-            den *= q ** e - 1
+    for s in squarefree_divisors(factor(d)):
+        if moebius(s) == 1:
+            num *= q ** (d // s.value) - 1
+        else:
+            den *= q ** (d // s.value) - 1
     assert num % den == 0
     return num // den
 

@@ -27,7 +27,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .arith import euler_phi, factor, squarefree_divisors
+from .arith import euler_phi, factor, moebius, squarefree_divisors
 from .ff import FieldCtx, FieldElement, RationalFunction
 
 
@@ -139,7 +139,7 @@ def rho_u(alpha: FieldElement, u: int) -> complex:
     fu = factor(u)
     total = 0j
     for d in squarefree_divisors(fu):
-        coeff = Fraction(1 if len(d.factors) % 2 == 0 else -1, euler_phi(d))
+        coeff = Fraction(moebius(d), euler_phi(d))
         s = sum(chi.value(alpha) for chi in all_chars_of_order(d.value, ctx))
         total += float(coeff) * s
     theta = Fraction(euler_phi(fu), u)
@@ -240,10 +240,10 @@ def count_via_characters(f: RationalFunction, a, b, l1: int, l2: int,
     fl1, fl2 = factor(l1), factor(l2)
     total = 0j
     for d1 in squarefree_divisors(fl1):
-        c1 = Fraction(1 if len(d1.factors) % 2 == 0 else -1, euler_phi(d1))
+        c1 = Fraction(moebius(d1), euler_phi(d1))
         chars1 = all_chars_of_order(d1.value, ctx)
         for d2 in squarefree_divisors(fl2):
-            c2 = Fraction(1 if len(d2.factors) % 2 == 0 else -1, euler_phi(d2))
+            c2 = Fraction(moebius(d2), euler_phi(d2))
             chars2 = all_chars_of_order(d2.value, ctx)
             coeff = float(c1 * c2)
             s = 0j

@@ -36,7 +36,6 @@ from .ff import DLOG_LIMIT, build_ctx
 from .refdata import bound_window, load_certificate_rows
 from .verify import (
     DEFAULT_ALPHA_BUDGET,
-    DEFAULT_F_BUDGET,
     EnumerationBudgetExceeded,
     crosscheck_identity,
     resolve_pair,
@@ -55,7 +54,6 @@ class RunConfig:
     """Knobs shared by all subcommands; every output is a pure function of
     the subcommand arguments plus this."""
 
-    threads: int = 1
     seed: int = 0
     factor_budget: int = DEFAULT_FACTOR_BUDGET
     enum_budget: int = DEFAULT_ALPHA_BUDGET
@@ -69,8 +67,7 @@ class RunConfig:
         self._cache_obj: FactorCache | None = None
 
     def validate(self) -> None:
-        for name in ("threads", "factor_budget", "enum_budget",
-                     "dlog_limit"):
+        for name in ("factor_budget", "enum_budget", "dlog_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.tolerance < 0.5:
@@ -92,7 +89,7 @@ class RunConfig:
             self._cache_obj.save()
 
     def manifest(self) -> dict:
-        return {"threads": self.threads, "seed": self.seed,
+        return {"seed": self.seed,
                 "factor_budget": self.factor_budget,
                 "enum_budget": self.enum_budget,
                 "dlog_limit": self.dlog_limit,
@@ -244,7 +241,6 @@ def cmd_verify(args, cfg: RunConfig, sink: _Sink) -> int:
     verdict = resolve_pair(
         args.q, args.m, args.n,
         alpha_budget=cfg.enum_budget,
-        f_budget=DEFAULT_F_BUDGET,
         sample_count=args.sample,
         seed=cfg.seed,
         cache=cfg.factor_cache(),
@@ -279,7 +275,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="primpairs", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--cache", default=None,
@@ -338,7 +333,7 @@ def main(argv=None) -> int:
     cache = args.cache if args.cache is not None else os.environ.get(CACHE_ENV)
     if getattr(args, "sub_seed", None) is not None:
         args.seed = args.sub_seed
-    cfg = RunConfig(threads=args.threads, seed=args.seed,
+    cfg = RunConfig(seed=args.seed,
                     factor_budget=args.budget_factor,
                     enum_budget=args.budget_enum,
                     dlog_limit=args.dlog_limit,

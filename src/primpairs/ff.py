@@ -228,7 +228,55 @@ class _PrimeField:
         return a
 
 
-class _ExtField:
+class _DigitField:
+    """Code arithmetic shared by the fields whose codes are base-p digit
+    strings (F_{p^k} and F_{q^m}): addition is digit-wise mod p, and powers
+    and Frobenius sums run over the subclass's mul."""
+
+    def add(self, a, b):
+        p = self.p
+        out = 0
+        mult = 1
+        while a or b:
+            out += ((a + b) % p) * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
+
+    def neg(self, a):
+        p = self.p
+        out = 0
+        mult = 1
+        while a:
+            out += (-a % p) * mult
+            a //= p
+            mult *= p
+        return out
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def _pow(self, a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
+    def _frobenius_sum(self, a, r, n):
+        """a + a^r + a^(r^2) + ... + a^(r^(n-1)): the trace down to the
+        subfield with r elements when n is the degree over it."""
+        acc = a
+        for _ in range(n - 1):
+            a = self._pow(a, r)
+            acc = self.add(acc, a)
+        return acc
+
+
+class _ExtField(_DigitField):
     """F_{p^k}, k >= 2, codes read base p against the canonical irreducible.
     Small fields get full q x q multiplication tables."""
 
@@ -253,30 +301,6 @@ class _ExtField:
     def _encode(self, cs):
         return sum(c * self.p ** i for i, c in enumerate(cs))
 
-    def add(self, a, b):
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
-
     def _mul_slow(self, a, b):
         prod = poly_mul(self._base, self._decode(a), self._decode(b))
         return self._encode(poly_mod(self._base, prod, self.poly))
@@ -293,15 +317,6 @@ class _ExtField:
             return int(self._inv_t[a])
         return self._pow(a, self.q - 2)
 
-    def _pow(self, a, e):
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
-
     def trace_abs(self, a):
         """Absolute trace F_{p^k} -> F_p."""
         if self._trace_t is not None:
@@ -309,11 +324,7 @@ class _ExtField:
         return self._trace_slow(a)
 
     def _trace_slow(self, a):
-        acc = 0
-        t = a
-        for _ in range(self.k):
-            acc = self.add(acc, t)
-            t = self._pow(t, self.p)
+        acc = self._frobenius_sum(a, self.p, self.k)
         assert acc < self.p
         return acc
 
@@ -341,7 +352,7 @@ def _build_subfield(p: int, k: int):
 # ---------------------------------------------------------------------------
 # the big field
 
-class FieldCtx:
+class FieldCtx(_DigitField):
     """F_{q^m} = F_q[y]/(defining_poly), q = p^k.
 
     Code-level arithmetic methods (add/sub/mul/neg/inv/pow_, frobenius,
@@ -397,30 +408,6 @@ class FieldCtx:
 
     # -- scalar arithmetic on codes
 
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def _mul_poly(self, a: int, b: int) -> int:
         F = self.subfield
         prod = poly_mul(F, self.decode(a), self.decode(b))
@@ -448,14 +435,7 @@ class FieldCtx:
             return 0
         if self.dlog is not None:
             return int(self.exp[int(self.dlog[a]) * (e % self.order) % self.order])
-        e %= self.order
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_poly(out, a)
-            a = self._mul_poly(a, a)
-            e >>= 1
-        return out
+        return self._pow(a, e % self.order)
 
     def frobenius(self, a: int) -> int:
         if self.frob_t is not None:
@@ -466,11 +446,7 @@ class FieldCtx:
         """Tr_{F_{q^m}/F_q} as a code < q."""
         if self.trace_t is not None:
             return int(self.trace_t[a])
-        acc = a
-        t = a
-        for _ in range(self.m - 1):
-            t = self.frobenius(t)
-            acc = self.add(acc, t)
+        acc = self._frobenius_sum(a, self.q, self.m)
         assert acc < self.q, "trace left the base field"
         return acc
 
@@ -885,33 +861,23 @@ def is_irreducible_in_ctx(ctx: FieldCtx, poly: tuple) -> bool:
     return is_irreducible_poly(ctx, monic)
 
 
-def find_irreducibles(degree: int, ctx: FieldCtx, limit: int | None = None):
-    """Stream monic irreducibles of the given degree over F_{q^m} in
-    canonical order.  limit=None means exhaustive."""
+def find_irreducibles(degree: int, ctx: FieldCtx):
+    """Stream every monic irreducible of the given degree over F_{q^m} in
+    canonical order."""
     if degree < 1:
         raise ValueError("degree must be positive")
     N = ctx.N
-    produced = 0
     if degree == 1:
         for c in range(N):
             yield (c, 1)
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
         return
     if degree == 2 and ctx.dlog is not None:
         mask = ctx.quad_reducible_mask()
         for idx in np.flatnonzero(~mask):
             idx = int(idx)
             yield (idx // N, idx % N, 1)
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
         return
     for n in range(N ** (degree - 1), N ** degree):
         cand = poly_from_index(degree, n, N)
         if is_irreducible_poly(ctx, cand):
             yield cand
-            produced += 1
-            if limit is not None and produced >= limit:
-                return

@@ -2,11 +2,14 @@
 
 The bounds layer proves membership in Q_n from inequalities; this layer
 earns it the hard way: enumerate representatives of R_{n1,n2}, walk every
-alpha, and count.  Counts use the context's dlog tables (an element g^k is
-r-free exactly when r does not divide k), with a table-free scalar path for
-cross-checking.  resolve_pair chains the cheap certificates before falling
-back to enumeration, and scan_exceptions regenerates the full list of pairs
-the main condition cannot settle.
+alpha, and count.  Every count goes through one kernel, _GridCounter: it
+reads the context's dlog tables (an element g^k is r-free exactly when r
+does not divide k) and fills the whole q x q trace-pair grid with one
+bincount.  A scalar pass over alpha fills the same grid for a context
+without tables and is the oracle the kernel is tested against.
+resolve_pair chains the cheap certificates before falling back to
+enumeration, and scan_exceptions regenerates the full list of pairs the main
+condition cannot settle.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .arith import (
     FactorCache,
     factor,
     factor_qm_minus_1,
+    moebius,
     omega_bounds_qm_minus_1,
     prime_powers_upto,
     squarefree_divisor_count,
@@ -30,7 +34,13 @@ from .bounds import (
     main_margin,
     threshold_cascade,
 )
-from .ff import FieldCtx, RationalFunction, build_ctx, find_irreducibles
+from .ff import (
+    DLOG_LIMIT,
+    FieldCtx,
+    RationalFunction,
+    build_ctx,
+    find_irreducibles,
+)
 
 DEFAULT_ALPHA_BUDGET = 1 << 20  # exhaustive alpha-loops up to this field size
 DEFAULT_F_BUDGET = 10 ** 7  # exhaustive f-loops up to this many representatives
@@ -60,19 +70,12 @@ def splits_of(n: int) -> list[tuple[int, int]]:
 # enumeration of R_{n1,n2}
 
 def _irreducible_count(ctx: FieldCtx, d: int) -> int:
+    """Monic irreducibles of degree d by the Gauss count
+    (1/d) sum_{e|d} mu(e) N^(d/e); degree 0 has the one polynomial 1."""
     if d == 0:
         return 1
-    if d == 1:
-        return ctx.N
-    if d == 2:
-        return (ctx.N * ctx.N - ctx.N) // 2
-    # Gauss count: (1/d) sum_{e|d} mu(e) N^(d/e); only small d matter here
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            from .arith import moebius
-            total += moebius(factor(e)) * ctx.N ** (d // e)
-    return total // d
+    return sum(moebius(factor(e)) * ctx.N ** (d // e)
+               for e in range(1, d + 1) if d % e == 0) // d
 
 
 def count_R(n1: int, n2: int, ctx: FieldCtx) -> int:
@@ -165,52 +168,46 @@ def _free_mask(ctx: FieldCtx, dlogs: np.ndarray, l: int) -> np.ndarray:
     return mask
 
 
-def _qualifying_alphas(f: RationalFunction, l1: int, l2: int) -> np.ndarray:
-    """Codes of alpha outside S with alpha l1-free and f(alpha) l2-free."""
-    ctx = f.ctx
-    excluded = np.zeros(ctx.N, dtype=bool)
-    excluded[list(f.excluded_codes())] = True
-    alphas = np.flatnonzero(~excluded).astype(np.int64)
-    keep = _free_mask(ctx, ctx.dlog[alphas], l1)
-    alphas = alphas[keep]
-    fv = f.varr_eval(alphas)
-    return alphas[_free_mask(ctx, ctx.dlog[fv], l2)]
+class _GridCounter:
+    """The counting kernel.  For one context and one l1 it precomputes the
+    l1-free codes and the trace-pair cell (Tr(alpha), Tr(alpha^-1)) of each,
+    so the work per f is dropping S, evaluating f and one bincount of the
+    cells where f(alpha) is l2-free."""
+
+    def __init__(self, ctx: FieldCtx, l1: int):
+        ctx._need_tables()
+        self.ctx = ctx
+        keep = _free_mask(ctx, ctx.dlog, l1)
+        keep[0] = False
+        self.codes = np.flatnonzero(keep).astype(np.int64)
+        self.cell = (ctx.trace_t[self.codes].astype(np.int64) * ctx.q
+                     + ctx.trace_t[ctx.inv_t[self.codes]])
+
+    def grid(self, f: RationalFunction, l2: int) -> np.ndarray:
+        """q x q array of counts indexed by the trace pair (a, b)."""
+        ctx = self.ctx
+        codes, cell = self.codes, self.cell
+        S = [c for c in f.excluded_codes() if c]
+        if S:
+            keep = ~np.isin(codes, np.asarray(S, dtype=np.int64))
+            codes, cell = codes[keep], cell[keep]
+        fmask = _free_mask(ctx, ctx.dlog[f.varr_eval(codes)], l2)
+        return np.bincount(cell[fmask], minlength=ctx.q ** 2).reshape(
+            ctx.q, ctx.q)
 
 
-def brute_force_count(f: RationalFunction, a, b, l1: int, l2: int, *,
-                      budget: int = DEFAULT_ALPHA_BUDGET) -> int:
-    """#{alpha outside S : alpha l1-free, f(alpha) l2-free, Tr(alpha) = a,
-    Tr(alpha^-1) = b}, by direct enumeration."""
-    ctx = f.ctx
-    if ctx.N > budget:
-        raise EnumerationBudgetExceeded(
-            f"field size {ctx.N} exceeds alpha budget {budget}")
-    _check_l(ctx, l1)
-    _check_l(ctx, l2)
-    if not (0 <= a < ctx.q and 0 <= b < ctx.q):
-        raise ValueError("a and b must be F_q codes")
-    if ctx.dlog is not None:
-        qual = _qualifying_alphas(f, l1, l2)
-        t1 = ctx.trace_t[qual]
-        t2 = ctx.trace_t[ctx.inv_t[qual]]
-        return int(((t1 == a) & (t2 == b)).sum())
-    return _scalar_count(f, a, b, l1, l2)
-
-
-def _scalar_count(f: RationalFunction, a: int, b: int, l1: int, l2: int) -> int:
+def _scalar_grid(f: RationalFunction, l1: int, l2: int) -> list:
+    """The same q x q grid by one scalar pass over alpha: the path for a
+    context without tables, and the oracle the kernel is tested against."""
     ctx = f.ctx
     S = set(f.excluded_codes())
-    total = 0
+    grid = [[0] * ctx.q for _ in range(ctx.q)]
     for alpha in range(1, ctx.N):
-        if alpha in S:
-            continue
-        if ctx.trace_q(alpha) != a or ctx.trace_q(ctx.inv(alpha)) != b:
-            continue
-        if not ctx.is_u_free_code(alpha, l1):
+        if alpha in S or not ctx.is_u_free_code(alpha, l1):
             continue
         if ctx.is_u_free_code(f.eval_code(alpha), l2):
-            total += 1
-    return total
+            grid[ctx.trace_q(alpha)][ctx.trace_q(ctx.inv(alpha))] += 1
+    return grid
 
 
 @dataclass(frozen=True)
@@ -246,18 +243,21 @@ def count_table(f: RationalFunction, l1: int, l2: int, *,
             f"field size {ctx.N} exceeds alpha budget {budget}")
     _check_l(ctx, l1)
     _check_l(ctx, l2)
-    q = ctx.q
-    if ctx.dlog is not None:
-        qual = _qualifying_alphas(f, l1, l2)
-        t1 = ctx.trace_t[qual].astype(np.int64)
-        t2 = ctx.trace_t[ctx.inv_t[qual]].astype(np.int64)
-        grid = np.bincount(t1 * q + t2, minlength=q * q).reshape(q, q)
-        counts = tuple(tuple(int(x) for x in row) for row in grid)
+    if ctx.dlog is None:
+        grid = _scalar_grid(f, l1, l2)
     else:
-        counts = tuple(
-            tuple(_scalar_count(f, a, b, l1, l2) for b in range(q))
-            for a in range(q))
+        grid = _GridCounter(ctx, l1).grid(f, l2)
+    counts = tuple(tuple(int(x) for x in row) for row in grid)
     return CountTable(f, l1, l2, counts)
+
+
+def brute_force_count(f: RationalFunction, a, b, l1: int, l2: int, *,
+                      budget: int = DEFAULT_ALPHA_BUDGET) -> int:
+    """#{alpha outside S : alpha l1-free, f(alpha) l2-free, Tr(alpha) = a,
+    Tr(alpha^-1) = b}, by direct enumeration."""
+    if not (0 <= a < f.ctx.q and 0 <= b < f.ctx.q):
+        raise ValueError("a and b must be F_q codes")
+    return count_table(f, l1, l2, budget=budget).cell(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -294,33 +294,6 @@ class PairVerdict:
         return out
 
 
-class _GridCounter:
-    """Per-ctx precompute for repeated primitive-pair grids: the primitivity
-    mask, the inverse traces, and the flattened cell index are shared by
-    every f, so the per-representative work is evaluation plus a bincount."""
-
-    def __init__(self, ctx: FieldCtx):
-        ctx._need_tables()
-        self.ctx = ctx
-        self.dl = ctx.dlog
-        prim = _free_mask(ctx, self.dl, ctx.order)
-        prim[0] = False
-        self.codes = np.flatnonzero(prim).astype(np.int64)
-        self.cell = (ctx.trace_t[self.codes].astype(np.int64) * ctx.q
-                     + ctx.trace_t[ctx.inv_t[self.codes]])
-
-    def grid(self, f: RationalFunction) -> np.ndarray:
-        codes, cell = self.codes, self.cell
-        S = [c for c in f.excluded_codes() if c]
-        if S:
-            keep = ~np.isin(codes, np.asarray(S, dtype=np.int64))
-            codes, cell = codes[keep], cell[keep]
-        fmask = _free_mask(self.ctx, self.dl[f.varr_eval(codes)],
-                           self.ctx.order)
-        q = self.ctx.q
-        return np.bincount(cell[fmask], minlength=q * q).reshape(q, q)
-
-
 def _first_zero(grid: np.ndarray):
     hits = np.argwhere(grid == 0)
     if len(hits):
@@ -352,10 +325,14 @@ def resolve_pair(q: int, m: int, n: int, *,
         return PairVerdict(
             q, m, n, UNDECIDED,
             coverage=f"field size {q}^{m} beyond alpha budget {alpha_budget}")
+    if q ** m > DLOG_LIMIT:
+        return PairVerdict(
+            q, m, n, UNDECIDED,
+            coverage=f"field size {q}^{m} beyond dlog table limit {DLOG_LIMIT}")
     fact = factor(q)
     ctx = build_ctx(fact.primes[0], fact.factors[0][1], m,
                     cache=cache, factor_budget=factor_budget)
-    counter = _GridCounter(ctx)
+    counter = _GridCounter(ctx, ctx.order)
     exhaustive = sum(count_R(n1, n2, ctx)
                      for n1, n2 in splits_of(n)) <= f_budget
     checked = 0
@@ -367,7 +344,7 @@ def resolve_pair(q: int, m: int, n: int, *,
                                  count=sample_count, seed=seed + n1)
         for f in stream:
             checked += 1
-            zero = _first_zero(counter.grid(f))
+            zero = _first_zero(counter.grid(f, ctx.order))
             if zero is not None:
                 a, b = zero
                 witness = {"f": f.serialize(), "a": a, "b": b,

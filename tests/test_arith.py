@@ -107,6 +107,8 @@ def test_perfect_power_beyond_float_range():
     n = 2 ** 1100 + 1  # not a perfect power (Mihailescu)
     assert arith._perfect_power(n) == (n, 1)
     assert arith._perfect_power(1_000_003 ** 6) == (1_000_003, 6)
+    assert arith._perfect_power(3 ** (2 * 3 * 5)) == (3, 30)
+    assert arith._perfect_power(p ** 12) == (p, 12)
 
 
 def test_factored_integer_validation():

@@ -137,6 +137,15 @@ def test_verify_deterministic(capsys):
     assert a == b
 
 
+def test_verify_beyond_dlog_table_limit_is_undecided(capsys):
+    code, out, err = run(capsys, "--budget-enum", "33554432",
+                         "verify", "64", "4", "2")
+    assert code == 0 and err == ""
+    verdict = json.loads(out)["verdict"]
+    assert verdict["status"] == "undecided"
+    assert "dlog table limit" in verdict["coverage"]
+
+
 def test_crosscheck_ok(capsys):
     code, out, _ = run(capsys, "crosscheck", "3", "1", "2", "12", "--seed", "4")
     blob = json.loads(out)
@@ -184,8 +193,6 @@ def test_exit_code_invalid_input(capsys):
     code, _, err = run(capsys, "check", "9", "4", "2")  # m < 5
     assert code == 3 and "invalid input" in err
     code, _, err = run(capsys, "--tolerance", "0.7", "factor", "6")
-    assert code == 3
-    code, _, err = run(capsys, "--threads", "0", "factor", "6")
     assert code == 3
 
 

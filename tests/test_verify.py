@@ -45,6 +45,11 @@ def F64():
 
 
 @pytest.fixture(scope="module")
+def F64_over_F4():
+    return build_ctx(2, 2, 3)  # F_q an extension field: q = 4, m = 3
+
+
+@pytest.fixture(scope="module")
 def F81():
     return build_ctx(3, 1, 4)
 
@@ -128,14 +133,17 @@ def test_hand_checked_trace_pairs_on_F4(F4_over_F2):
     assert brute_force_count(f, 1, 0, 1, 1) == 0
 
 
-def test_vector_path_equals_scalar_path(F9):
-    f = RationalFunction(F9, (0, 1), (1, 1))  # x/(x+1)
-    for l1 in (1, 2, 4, 8):
-        for l2 in (1, 2, 8):
-            for a in range(3):
-                for b in range(3):
-                    assert (brute_force_count(f, a, b, l1, l2)
-                            == V._scalar_count(f, a, b, l1, l2))
+def test_vector_path_equals_scalar_path(F9, F64, F64_over_F4):
+    # the kernel's full grid against the scalar oracle for every divisor
+    # pair (l1, l2), on sampled f of each split of n = 2
+    for ctx in (F9, F64, F64_over_F4):
+        divs = [d for d in range(1, ctx.N) if ctx.order % d == 0]
+        for n1, n2 in ((1, 1), (2, 0), (0, 2)):
+            f, = enumerate_R(n1, n2, ctx, "sample", count=1, seed=n1)
+            for l1 in divs:
+                for l2 in divs:
+                    assert (count_table(f, l1, l2).counts
+                            == tuple(map(tuple, V._scalar_grid(f, l1, l2))))
 
 
 def test_tableless_ctx_uses_scalar_path(F9):
@@ -232,12 +240,16 @@ def test_count_table_serialize(F9):
 
 
 def test_grid_counter_agrees_with_count_table(F9, F64):
+    # one counter reused across f, as resolve_pair uses it, matches the
+    # fresh counter count_table builds per call
     for ctx in (F9, F64):
-        counter = V._GridCounter(ctx)
-        for f in enumerate_R(1, 1, ctx, "sample", count=5, seed=11):
-            grid = counter.grid(f)
-            table = count_table(f, ctx.order, ctx.order)
-            assert grid.tolist() == [list(r) for r in table.counts]
+        for l1 in (1, ctx.order):
+            counter = V._GridCounter(ctx, l1)
+            for f in enumerate_R(1, 1, ctx, "sample", count=5, seed=11):
+                for l2 in (1, ctx.order):
+                    table = count_table(f, l1, l2)
+                    assert (counter.grid(f, l2).tolist()
+                            == [list(r) for r in table.counts])
 
 
 # -- resolve_pair -----------------------------------------------------------
@@ -310,6 +322,12 @@ def test_resolve_undecided_beyond_alpha_budget():
 
     w = resolve_pair(3, 7, 2, alpha_budget=1000)
     assert w.status == "undecided"
+
+    # inside a raised alpha budget but above the dlog table limit (2^22):
+    # undecided, not a table-free context handed to the kernel
+    x = resolve_pair(64, 4, 2, alpha_budget=1 << 25)
+    assert x.status == "undecided"
+    assert "dlog table limit" in x.coverage
 
 
 def test_verdict_serialize_shape():
