@@ -99,9 +99,7 @@ class AddChar:
     def __init__(self, ctx: FieldCtx):
         ctx._need_tables()
         self.ctx = ctx
-        sub = ctx.subfield
-        tr_abs = np.array([sub.trace_abs(c) for c in range(ctx.q)])
-        self.psi0_t = np.exp(2j * np.pi * tr_abs / ctx.p)
+        self.psi0_t = np.exp(2j * np.pi * ctx.trace_abs_t / ctx.p)
         self.psihat_t = self.psi0_t[ctx.trace_t]
 
     def psi0(self, x) -> complex:

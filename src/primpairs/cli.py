@@ -57,8 +57,6 @@ class RunConfig:
     seed: int = 0
     factor_budget: int = DEFAULT_FACTOR_BUDGET
     enum_budget: int = DEFAULT_ALPHA_BUDGET
-    dlog_limit: int = DLOG_LIMIT
-    tolerance: float = 1e-9
     format: str = "csv"
     cache: str | None = None
     out: str | None = None
@@ -67,11 +65,9 @@ class RunConfig:
         self._cache_obj: FactorCache | None = None
 
     def validate(self) -> None:
-        for name in ("factor_budget", "enum_budget", "dlog_limit"):
+        for name in ("factor_budget", "enum_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not 0 < self.tolerance < 0.5:
-            raise ValueError("tolerance must lie in (0, 0.5)")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
         if not -(1 << 63) <= self.seed < 1 << 63:
@@ -91,9 +87,7 @@ class RunConfig:
     def manifest(self) -> dict:
         return {"seed": self.seed,
                 "factor_budget": self.factor_budget,
-                "enum_budget": self.enum_budget,
-                "dlog_limit": self.dlog_limit,
-                "tolerance": self.tolerance}
+                "enum_budget": self.enum_budget}
 
 
 class _Sink:
@@ -179,11 +173,10 @@ def cmd_appendix2(args, cfg: RunConfig, sink: _Sink) -> int:
     """Recompute every listed certificate row for the requested m values
     from the factorization of q^m - 1 and the listed l.  Warn on stderr
     where a listed delta/Delta lies farther from the exact value than
-    --tolerance or one unit in its last printed place, whichever is
-    coarser."""
+    bound_window allows: 1e-9 or one unit in its last printed place,
+    whichever is coarser."""
     wanted = _parse_m_range(args.m_range)
     cache = cfg.factor_cache()
-    tolerance = Fraction(str(cfg.tolerance))
     for row in load_certificate_rows():
         if row.m not in wanted:
             continue
@@ -196,7 +189,7 @@ def cmd_appendix2(args, cfg: RunConfig, sink: _Sink) -> int:
         blob = cert.serialize()
         for column, exact in (("delta", cert.delta), ("Delta", cert.Delta)):
             listed = getattr(row, column)
-            if abs(exact - Fraction(listed)) > bound_window(listed, tolerance):
+            if abs(exact - Fraction(listed)) > bound_window(listed):
                 print(f"warning: m={row.m} q={row.q} l={row.l}: {column} "
                       f"{blob[column + '_decimal']} vs listed {listed}",
                       file=sys.stderr)
@@ -252,8 +245,12 @@ def cmd_verify(args, cfg: RunConfig, sink: _Sink) -> int:
 
 
 def cmd_crosscheck(args, cfg: RunConfig, sink: _Sink) -> int:
-    ctx = build_ctx(args.p, args.k, args.m, dlog_limit=cfg.dlog_limit,
-                    cache=cfg.factor_cache(), factor_budget=cfg.factor_budget)
+    if args.p ** (args.k * args.m) > DLOG_LIMIT:
+        raise EnumerationBudgetExceeded(
+            f"field size {args.p}^{args.k * args.m} beyond dlog table limit "
+            f"{DLOG_LIMIT}")
+    ctx = build_ctx(args.p, args.k, args.m, cache=cfg.factor_cache(),
+                    factor_budget=cfg.factor_budget)
     report = crosscheck_identity(ctx, args.trials, cfg.seed)
     blob = report.serialize()
     blob["ok"] = report.ok
@@ -283,8 +280,6 @@ def build_parser() -> _Parser:
                         default=DEFAULT_FACTOR_BUDGET)
     parser.add_argument("--budget-enum", type=int,
                         default=DEFAULT_ALPHA_BUDGET)
-    parser.add_argument("--dlog-limit", type=int, default=DLOG_LIMIT)
-    parser.add_argument("--tolerance", type=float, default=1e-9)
     parser.add_argument("--out", default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -336,8 +331,6 @@ def main(argv=None) -> int:
     cfg = RunConfig(seed=args.seed,
                     factor_budget=args.budget_factor,
                     enum_budget=args.budget_enum,
-                    dlog_limit=args.dlog_limit,
-                    tolerance=args.tolerance,
                     format=args.format, cache=cache, out=args.out)
     sink = _Sink(cfg.out)
     try:

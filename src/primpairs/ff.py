@@ -15,6 +15,12 @@ choices make contexts reproducible across runs and machines.
 Fields with at most `dlog_limit` elements additionally carry numpy tables
 (powers of the generator, discrete logs, Frobenius, trace, inverses) that the
 character-sum and brute-force layers index directly.
+
+With tables, a monic quadratic x^2 + c1 x + c0 is irreducible exactly when it
+has no root (Lidl-Niederreiter, Finite Fields, ch. 3): for odd q when its
+discriminant c1^2 - 4 c0 is a nonsquare, i.e. has odd dlog; in characteristic
+2 when c1 != 0 and Tr_{F/F_2}(c0 / c1^2) = 1 (Artin-Schreier, after the
+substitution x = c1 y).  No table of quadratics is kept.
 """
 
 from __future__ import annotations
@@ -387,9 +393,9 @@ class FieldCtx(_DigitField):
         self.frob_t = None
         self.trace_t = None
         self.inv_t = None
+        self.trace_abs_t = None
         self._pdigits = None
         self._unity = None
-        self._quad_mask = None
 
         if self.N <= dlog_limit:
             self.generator = self._find_generator_scalar()
@@ -453,22 +459,15 @@ class FieldCtx(_DigitField):
     # -- primitivity / u-freeness on codes
 
     def is_primitive_code(self, a: int) -> bool:
-        if a == 0:
-            raise ValueError("0 is not in the multiplicative group")
-        for r in self.group_factors.primes:
-            if self.pow_(a, self.order // r) == 1:
-                return False
-        return True
+        return self.is_u_free_code(a, self.order)
 
     def is_u_free_code(self, a: int, u: int) -> bool:
         if a == 0:
             raise ValueError("0 is not in the multiplicative group")
         if u < 1 or self.order % u != 0:
             raise ValueError(f"u = {u} does not divide the group order")
-        for r in {p for p, _ in self.group_factors.factors if u % p == 0}:
-            if self.pow_(a, self.order // r) == 1:
-                return False
-        return True
+        return all(self.pow_(a, self.order // r) != 1
+                   for r in self.group_factors.primes if u % r == 0)
 
     # -- construction internals
 
@@ -478,15 +477,7 @@ class FieldCtx(_DigitField):
         # codes < q are F_q constants with order dividing q-1; they can only
         # generate when m == 1
         start = 2 if self.m == 1 else self.q
-        for cand in range(start, self.N):
-            ok = True
-            for r in self.group_factors.primes:
-                if self.pow_(cand, self.order // r) == 1:
-                    ok = False
-                    break
-            if ok:
-                return cand
-        raise RuntimeError("no generator found")  # unreachable
+        return next(c for c in range(start, self.N) if self.is_primitive_code(c))
 
     def _digit_dtype(self):
         if self.p < 64:
@@ -552,6 +543,8 @@ class FieldCtx(_DigitField):
         if (acc >= self.q).any():
             raise RuntimeError("trace left the base field")
         self.trace_t = acc
+        self.trace_abs_t = np.array(
+            [self.subfield.trace_abs(c) for c in range(self.q)], dtype=np.int64)
 
     # -- array arithmetic (requires tables)
 
@@ -584,27 +577,19 @@ class FieldCtx(_DigitField):
 
     # -- irreducible quadratics
 
-    def quad_reducible_mask(self):
-        """Boolean array over monic quadratic indices c0*N + c1 (poly
-        x^2 + c1 x + c0), true when the polynomial splits.  Built once by
-        marking (x - r)(x - s) for every ordered pair."""
-        if self._quad_mask is None:
-            self._need_tables()
-            N = self.N
-            mask = np.zeros(N * N, dtype=bool)
-            rs = np.arange(N, dtype=np.int64)
-            step = max(1, (1 << 22) // N)
-            for lo in range(0, N, step):
-                r = rs[lo:min(lo + step, N), None]
-                c1 = self.varr_mul(self.varr_add(r, rs[None, :]).ravel(),
-                                   np.full(N * (r.shape[0]), self._neg_one()))
-                c0 = self.varr_mul(np.repeat(r.ravel(), N), np.tile(rs, r.shape[0]))
-                mask[c0 * N + c1] = True
-            self._quad_mask = mask
-        return self._quad_mask
-
-    def _neg_one(self) -> int:
-        return self.neg(1)
+    def quad_reducible_mask(self, c0, c1):
+        """True where x^2 + c1 x + c0 splits over this field (code arrays or
+        scalars, broadcast together).  Odd q: the discriminant c1^2 - 4 c0
+        is 0 or has even dlog.  Characteristic 2: c1 = 0, or
+        Tr_{F/F_2}(c0 / c1^2) = 0; with inv(0) = 0 the first case is the
+        trace of 0."""
+        self._need_tables()
+        if self.p == 2:
+            t = self.varr_mul(c0, self.varr_inv(self.varr_mul(c1, c1)))
+            return self.trace_abs_t[self.trace_t[t]] == 0
+        disc = self.varr_add(self.varr_mul(c1, c1),
+                             self.varr_mul((-4) % self.p, c0))
+        return (disc == 0) | (self.dlog[disc] % 2 == 0)
 
     # -- serialization
 
@@ -856,8 +841,7 @@ def is_irreducible_in_ctx(ctx: FieldCtx, poly: tuple) -> bool:
     monic = poly if lead == 1 else tuple(
         ctx.mul(c, ctx.inv(lead)) for c in poly)
     if d == 2 and ctx.dlog is not None:
-        mask = ctx.quad_reducible_mask()
-        return not bool(mask[monic[0] * ctx.N + monic[1]])
+        return not ctx.quad_reducible_mask(monic[0], monic[1])
     return is_irreducible_poly(ctx, monic)
 
 
@@ -872,10 +856,12 @@ def find_irreducibles(degree: int, ctx: FieldCtx):
             yield (c, 1)
         return
     if degree == 2 and ctx.dlog is not None:
-        mask = ctx.quad_reducible_mask()
-        for idx in np.flatnonzero(~mask):
-            idx = int(idx)
-            yield (idx // N, idx % N, 1)
+        # c0 is the most significant digit of the canonical order: one row
+        # of fixed c0 at a time keeps that order in O(N) memory
+        c1 = np.arange(N, dtype=np.int64)
+        for c0 in range(N):
+            for b in np.flatnonzero(~ctx.quad_reducible_mask(c0, c1)):
+                yield (c0, int(b), 1)
         return
     for n in range(N ** (degree - 1), N ** degree):
         cand = poly_from_index(degree, n, N)

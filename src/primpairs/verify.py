@@ -40,6 +40,8 @@ from .ff import (
     RationalFunction,
     build_ctx,
     find_irreducibles,
+    is_irreducible_in_ctx,
+    poly_from_index,
 )
 
 DEFAULT_ALPHA_BUDGET = 1 << 20  # exhaustive alpha-loops up to this field size
@@ -128,7 +130,6 @@ def enumerate_R(n1: int, n2: int, ctx: FieldCtx, mode: str = "exhaustive",
 
 
 def _draw_irreducible(degree: int, ctx: FieldCtx, rng: random.Random) -> tuple:
-    from .ff import is_irreducible_in_ctx, poly_from_index
     if degree == 0:
         return (1,)
     if degree == 1:

@@ -146,6 +146,13 @@ def test_verify_beyond_dlog_table_limit_is_undecided(capsys):
     assert "dlog table limit" in verdict["coverage"]
 
 
+def test_crosscheck_beyond_dlog_table_limit_is_budget_exit(capsys):
+    # F_{2^23} has no dlog tables; refuse before building the context
+    code, out, err = run(capsys, "crosscheck", "2", "1", "23", "1")
+    assert code == 2 and out == ""
+    assert "budget exceeded" in err and "Traceback" not in err
+
+
 def test_crosscheck_ok(capsys):
     code, out, _ = run(capsys, "crosscheck", "3", "1", "2", "12", "--seed", "4")
     blob = json.loads(out)
@@ -192,8 +199,8 @@ def test_factor_ignores_poisoned_cache_entry(capsys, tmp_path):
 def test_exit_code_invalid_input(capsys):
     code, _, err = run(capsys, "check", "9", "4", "2")  # m < 5
     assert code == 3 and "invalid input" in err
-    code, _, err = run(capsys, "--tolerance", "0.7", "factor", "6")
-    assert code == 3
+    code, _, err = run(capsys, "--budget-enum", "0", "factor", "6")
+    assert code == 3 and "invalid input" in err
 
 
 def test_exit_code_budget_exceeded(capsys):

@@ -1,4 +1,6 @@
+import functools
 import random
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -14,6 +16,7 @@ from primpairs.ff import (
     eval_rational,
     find_irreducibles,
     first_irreducible,
+    is_irreducible_in_ctx,
     is_irreducible_poly,
     is_primitive,
     is_u_free,
@@ -240,13 +243,49 @@ def test_find_irreducibles_degree3_matches_count(ctx_f4):
         assert is_irreducible_poly(ctx_f4, cs)
 
 
-def test_quadratic_mask_against_generic_test(ctx_f9):
-    # mask-based and Frobenius-based irreducibility must agree everywhere
-    c = ctx_f9
-    mask = c.quad_reducible_mask()
-    for n in range(c.N ** 2):
-        cs = poly_from_index(2, n, c.N)
-        assert is_irreducible_poly(c, cs) == (not mask[n])
+# both characteristics, prime and tower base fields
+QUAD_FIELDS = {"F4": (2, 1, 2), "F8": (2, 1, 3), "F9": (3, 1, 2),
+               "F25": (5, 1, 2), "F64_over_F4": (2, 2, 3),
+               "F81_over_F9": (3, 2, 2)}
+
+
+@functools.cache
+def _quadratics(name):
+    """A context, its N^2 monic quadratics in canonical order, and the
+    Frobenius verdict on each."""
+    c = build_ctx(*QUAD_FIELDS[name])
+    polys = [poly_from_index(2, n, c.N) for n in range(c.N ** 2)]
+    return c, polys, [is_irreducible_poly(c, cs) for cs in polys]
+
+
+@pytest.mark.parametrize("name", QUAD_FIELDS)
+def test_quadratic_mask_against_generic_test(name):
+    # the discriminant / trace criterion and the Frobenius test must agree
+    # on every monic quadratic
+    c, polys, irreducible = _quadratics(name)
+    c0, c1 = np.array([cs[:2] for cs in polys]).T
+    assert (~c.quad_reducible_mask(c0, c1)).tolist() == irreducible
+    assert [is_irreducible_in_ctx(c, cs) for cs in polys] == irreducible
+
+
+@pytest.mark.parametrize("name", QUAD_FIELDS)
+def test_find_irreducibles_degree2_is_filtered_canonical_stream(name):
+    c, polys, irreducible = _quadratics(name)
+    assert list(find_irreducibles(2, c)) == [
+        cs for cs, ok in zip(polys, irreducible) if ok]
+
+
+def test_quadratic_irreducibility_needs_no_table(ctx_f3_7):
+    # one degree-2 decision must not build anything of size N^2 (at
+    # N = 4096 a byte per quadratic is 16.7 MB)
+    for c in (build_ctx(2, 1, 12), ctx_f3_7):
+        tracemalloc.start()
+        try:
+            is_irreducible_in_ctx(c, (3, 5, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_poly_helpers_roundtrip(ctx_f4):
