@@ -245,9 +245,12 @@ def cmd_verify(args, cfg: RunConfig, sink: _Sink) -> int:
 
 
 def cmd_crosscheck(args, cfg: RunConfig, sink: _Sink) -> int:
-    if args.p ** (args.k * args.m) > DLOG_LIMIT:
+    # for p >= 2 an exponent past the limit's bit length already exceeds
+    # the limit; test it first, since p ** exponent may not fit in memory
+    exponent = args.k * args.m
+    if exponent > DLOG_LIMIT.bit_length() or args.p ** exponent > DLOG_LIMIT:
         raise EnumerationBudgetExceeded(
-            f"field size {args.p}^{args.k * args.m} beyond dlog table limit "
+            f"field size {args.p}^{exponent} beyond dlog table limit "
             f"{DLOG_LIMIT}")
     ctx = build_ctx(args.p, args.k, args.m, cache=cfg.factor_cache(),
                     factor_budget=cfg.factor_budget)

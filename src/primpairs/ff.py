@@ -1,10 +1,12 @@
 """Explicit finite fields F_{q^m} over F_q = F_{p^k}, as a two-step tower.
 
-Elements are integer codes in [0, q^m): read the code in base q to get the
-coefficient vector over F_q (low degree first), and each F_q coefficient in
-base p to get its coefficient vector over F_p.  Because q = p^k these two
-readings agree with plain base-p digits of the code, which makes addition a
-digitwise mod-p operation in every field of the tower.
+F_q is itself a FieldCtx over F_p (F_p directly when k = 1), so one class
+serves every level of the tower.  Elements are integer codes in [0, q^m):
+read the code in base q to get the coefficient vector over F_q (low degree
+first), and each F_q coefficient in base p to get its coefficient vector over
+F_p.  Because q = p^k these two readings agree with plain base-p digits of
+the code, which makes addition a digitwise mod-p operation in every field of
+the tower.
 
 Defining polynomials are the canonically least monic irreducibles: candidates
 are ordered by the integer formed from their coefficient tuple
@@ -35,7 +37,6 @@ from .arith import (
 )
 
 DLOG_LIMIT = 1 << 22
-_SUBFIELD_TABLE_MAX = 1 << 10
 
 
 class _PoleType:
@@ -201,7 +202,7 @@ def first_irreducible(F, d: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the F_q level: F_p directly, or F_{p^k} as an F_p extension
+# the prime field, the base of every tower
 
 class _PrimeField:
     """F_p with codes 0..p-1."""
@@ -230,136 +231,15 @@ class _PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def trace_abs(self, a):
-        return a
-
-
-class _DigitField:
-    """Code arithmetic shared by the fields whose codes are base-p digit
-    strings (F_{p^k} and F_{q^m}): addition is digit-wise mod p, and powers
-    and Frobenius sums run over the subclass's mul."""
-
-    def add(self, a, b):
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def neg(self, a):
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def _pow(self, a, e):
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
-
-    def _frobenius_sum(self, a, r, n):
-        """a + a^r + a^(r^2) + ... + a^(r^(n-1)): the trace down to the
-        subfield with r elements when n is the degree over it."""
-        acc = a
-        for _ in range(n - 1):
-            a = self._pow(a, r)
-            acc = self.add(acc, a)
-        return acc
-
-
-class _ExtField(_DigitField):
-    """F_{p^k}, k >= 2, codes read base p against the canonical irreducible.
-    Small fields get full q x q multiplication tables."""
-
-    def __init__(self, p: int, k: int):
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        self.card = self.q
-        base = _PrimeField(p)
-        self._base = base
-        self.poly = first_irreducible(base, k)
-        self._mul_t = None
-        self._inv_t = None
-        self._trace_t = None
-        if self.q <= _SUBFIELD_TABLE_MAX:
-            self._build_tables()
-
-    def _decode(self, a):
-        p = self.p
-        return poly_trim((a // p ** i) % p for i in range(self.k))
-
-    def _encode(self, cs):
-        return sum(c * self.p ** i for i, c in enumerate(cs))
-
-    def _mul_slow(self, a, b):
-        prod = poly_mul(self._base, self._decode(a), self._decode(b))
-        return self._encode(poly_mod(self._base, prod, self.poly))
-
-    def mul(self, a, b):
-        if self._mul_t is not None:
-            return int(self._mul_t[a, b])
-        return self._mul_slow(a, b)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self._inv_t is not None:
-            return int(self._inv_t[a])
-        return self._pow(a, self.q - 2)
-
-    def trace_abs(self, a):
-        """Absolute trace F_{p^k} -> F_p."""
-        if self._trace_t is not None:
-            return int(self._trace_t[a])
-        return self._trace_slow(a)
-
-    def _trace_slow(self, a):
-        acc = self._frobenius_sum(a, self.p, self.k)
-        assert acc < self.p
-        return acc
-
-    def _build_tables(self):
-        q = self.q
-        t = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_slow(a, b)
-                t[a, b] = v
-                t[b, a] = v
-        self._mul_t = t
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = self._pow(a, q - 2)
-        self._inv_t = inv
-        self._trace_t = np.array([self._trace_slow(a) for a in range(q)],
-                                 dtype=np.int64)
-
-
-def _build_subfield(p: int, k: int):
-    return _PrimeField(p) if k == 1 else _ExtField(p, k)
-
 
 # ---------------------------------------------------------------------------
 # the big field
 
-class FieldCtx(_DigitField):
+class FieldCtx:
     """F_{q^m} = F_q[y]/(defining_poly), q = p^k.
+
+    The subfield F_q is _PrimeField(p) when k = 1 and FieldCtx(p, 1, k)
+    otherwise, so the same class builds every level of the tower.
 
     Code-level arithmetic methods (add/sub/mul/neg/inv/pow_, frobenius,
     trace_q) work on integer codes and are table-backed when the field is
@@ -380,7 +260,11 @@ class FieldCtx(_DigitField):
         self.N = self.q ** m
         self.card = self.N
         self.order = self.N - 1
-        self.subfield = _build_subfield(p, k)
+        if k == 1:
+            self.subfield = _PrimeField(p)
+        else:
+            self.subfield = FieldCtx(p, 1, k, dlog_limit=dlog_limit,
+                                     cache=cache, factor_budget=factor_budget)
         self.poly = first_irreducible(self.subfield, m)
         kwargs = {}
         if factor_budget is not None:
@@ -397,11 +281,9 @@ class FieldCtx(_DigitField):
         self._pdigits = None
         self._unity = None
 
+        self.generator = self._find_generator_scalar()
         if self.N <= dlog_limit:
-            self.generator = self._find_generator_scalar()
             self._build_tables()
-        else:
-            self.generator = self._find_generator_scalar()
 
     # -- code <-> coefficient vectors over F_q
 
@@ -413,6 +295,30 @@ class FieldCtx(_DigitField):
         return sum(int(c) * self.q ** i for i, c in enumerate(coeffs))
 
     # -- scalar arithmetic on codes
+
+    def add(self, a: int, b: int) -> int:
+        p = self.p
+        out = 0
+        mult = 1
+        while a or b:
+            out += ((a + b) % p) * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
+
+    def neg(self, a: int) -> int:
+        p = self.p
+        out = 0
+        mult = 1
+        while a:
+            out += (-a % p) * mult
+            a //= p
+            mult *= p
+        return out
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
 
     def _mul_poly(self, a: int, b: int) -> int:
         F = self.subfield
@@ -439,9 +345,16 @@ class FieldCtx(_DigitField):
             if e == 0:
                 return 1
             return 0
+        e %= self.order
         if self.dlog is not None:
-            return int(self.exp[int(self.dlog[a]) * (e % self.order) % self.order])
-        return self._pow(a, e % self.order)
+            return int(self.exp[int(self.dlog[a]) * e % self.order])
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
 
     def frobenius(self, a: int) -> int:
         if self.frob_t is not None:
@@ -452,7 +365,10 @@ class FieldCtx(_DigitField):
         """Tr_{F_{q^m}/F_q} as a code < q."""
         if self.trace_t is not None:
             return int(self.trace_t[a])
-        acc = self._frobenius_sum(a, self.q, self.m)
+        acc = a
+        for _ in range(self.m - 1):
+            a = self.frobenius(a)
+            acc = self.add(acc, a)
         assert acc < self.q, "trace left the base field"
         return acc
 
@@ -543,8 +459,10 @@ class FieldCtx(_DigitField):
         if (acc >= self.q).any():
             raise RuntimeError("trace left the base field")
         self.trace_t = acc
-        self.trace_abs_t = np.array(
-            [self.subfield.trace_abs(c) for c in range(self.q)], dtype=np.int64)
+        if self.k == 1:
+            self.trace_abs_t = np.arange(self.p, dtype=np.int64)
+        else:
+            self.trace_abs_t = self.subfield.trace_t
 
     # -- array arithmetic (requires tables)
 
@@ -607,13 +525,6 @@ class FieldCtx(_DigitField):
 
     def element(self, code: int) -> "FieldElement":
         return FieldElement(self, code)
-
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        if len(coeffs) > self.m:
-            raise ValueError("coefficient vector too long")
-        if any(not 0 <= c < self.q for c in coeffs):
-            raise ValueError("coefficients must be F_q codes")
-        return FieldElement(self, self.encode(coeffs))
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, k={self.k}, m={self.m})"
@@ -829,13 +740,10 @@ def eval_rational(f: RationalFunction, alpha: FieldElement):
 
 
 def is_irreducible_in_ctx(ctx: FieldCtx, poly: tuple) -> bool:
-    """Monic-or-not irreducibility over the big field (units count as
-    irreducible here only for degree >= 1 callers; degree 0 returns True
-    so scaled constants pass through RationalFunction validation)."""
+    """Irreducibility over the big field of poly, monic or not.  Degrees 0
+    and 1 return True."""
     d = len(poly) - 1
-    if d == 0:
-        return True
-    if d == 1:
+    if d in (0, 1):
         return True
     lead = poly[-1]
     monic = poly if lead == 1 else tuple(

@@ -128,9 +128,9 @@ def load_unresolved_pairs() -> list[UnresolvedPair]:
             for r in _rows("unresolved_pairs.csv")]
 
 
-def bound_window(printed: str, tolerance: Fraction = NANO) -> Fraction:
-    """How far a printed bound may lie from its exact value: `tolerance`,
-    or one unit in the last printed place when that is coarser (a Delta
-    printed with 8 decimals cannot come within 1e-9 but by chance)."""
+def bound_window(printed: str) -> Fraction:
+    """How far a printed bound may lie from its exact value: 1e-9, or one
+    unit in the last printed place when that is coarser (a Delta printed
+    with 8 decimals cannot come within 1e-9 but by chance)."""
     places = len(printed.partition(".")[2])
-    return max(tolerance, Fraction(1, 10 ** places))
+    return max(NANO, Fraction(1, 10 ** places))

@@ -336,6 +336,8 @@ def resolve_pair(q: int, m: int, n: int, *,
     counter = _GridCounter(ctx, ctx.order)
     exhaustive = sum(count_R(n1, n2, ctx)
                      for n1, n2 in splits_of(n)) <= f_budget
+    if not exhaustive and sample_count < 1:
+        raise ValueError("sample count must be positive")
     checked = 0
     for n1, n2 in splits_of(n):
         if exhaustive:
@@ -388,6 +390,8 @@ def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int) -> CrosscheckRepo
     """Random (f, a, b, l1, l2) tuples: the character-sum count must round
     to the brute-force integer every time."""
     from .characters import ChiPrecompute, count_via_characters
+    if trials < 1:
+        raise ValueError("trials must be positive")
     ctx._need_tables()
     rng = random.Random(seed)
     divisors = [d for d in range(1, ctx.order + 1) if ctx.order % d == 0]

@@ -2,6 +2,7 @@
 cache wiring, and determinism of repeated invocations."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,31 @@ def test_crosscheck_beyond_dlog_table_limit_is_budget_exit(capsys):
     code, out, err = run(capsys, "crosscheck", "2", "1", "23", "1")
     assert code == 2 and out == ""
     assert "budget exceeded" in err and "Traceback" not in err
+
+
+def test_crosscheck_huge_exponent_refused_before_evaluation(capsys):
+    # 3^(10^7) is never built: the exponent alone is past the limit
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "crosscheck", "3", "1", "10000000", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "budget exceeded" in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "2", "8", "2", "--sample", "0"),
+    ("crosscheck", "3", "1", "2", "0"),
+    ("crosscheck", "3", "1", "2", "-4"),
+])
+def test_empty_evidence_is_invalid(capsys, argv):
+    # zero samples or zero trials check nothing, so they cannot verify
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "invalid input" in err
 
 
 def test_crosscheck_ok(capsys):

@@ -421,3 +421,69 @@ def test_first_irreducible_start_block():
     c = build_ctx(5, 1, 1)
     sub = c.subfield
     assert first_irreducible(sub, 2)[0] != 0
+
+
+# -- the F_q level of the tower ---------------------------------------------
+
+TOWERS = [(2, 2, 3), (3, 2, 2), (2, 5, 7)]  # F_{4^3}, F_{9^2}, table-free
+
+
+def _digits(code, p, k):
+    return ff.poly_trim((code // p ** i) % p for i in range(k))
+
+
+def _undigits(cs, p):
+    return sum(c * p ** i for i, c in enumerate(cs))
+
+
+@pytest.mark.parametrize("p,k,m", TOWERS)
+def test_subfield_arithmetic_matches_polynomials_over_fp(p, k, m):
+    # F_q = F_p[x]/(subfield poly): mul and inv agree with plain polynomial
+    # arithmetic over the prime field on every pair of codes
+    c = build_ctx(p, k, m)
+    sub, Fp, q = c.subfield, ff._PrimeField(p), c.q
+    for a in range(q):
+        for b in range(q):
+            prod = poly_mod(Fp, poly_mul(Fp, _digits(a, p, k), _digits(b, p, k)),
+                            sub.poly)
+            assert sub.mul(a, b) == _undigits(prod, p)
+    for a in range(1, q):
+        assert sub.mul(a, sub.inv(a)) == 1
+
+
+def _frobenius_trace(a, p, k, modulus):
+    # a + a^p + ... + a^(p^(k-1)) over F_p[x]/(modulus), one p-th power at
+    # a time by repeated multiplication
+    Fp = ff._PrimeField(p)
+    cur = _digits(a, p, k)
+    acc = cur
+    for _ in range(k - 1):
+        nxt = (1,)
+        for _ in range(p):
+            nxt = poly_mod(Fp, poly_mul(Fp, nxt, cur), modulus)
+        cur = nxt
+        acc = ff.poly_add(Fp, acc, cur)
+    assert len(acc) <= 1, "absolute trace left F_p"
+    return acc[0] if acc else 0
+
+
+@pytest.mark.parametrize("p,k,m", TOWERS)
+def test_absolute_trace_is_frobenius_sum(p, k, m):
+    c = build_ctx(p, k, m)
+    # the table-free field keeps no trace_abs_t of its own; its subfield's
+    # trace table is what a tabled field of that tower would read
+    table = c.trace_abs_t if c.dlog is not None else c.subfield.trace_t
+    assert len(table) == c.q
+    for a in range(c.q):
+        assert table[a] == _frobenius_trace(a, p, k, c.subfield.poly)
+
+
+def test_table_free_tower_describe_is_pinned():
+    assert build_ctx(2, 5, 7).describe() == {
+        "p": 2, "k": 5, "m": 7,
+        "subfield_poly": [1, 0, 0, 1, 0, 1],
+        "poly": [1, 0, 0, 0, 0, 0, 1, 1],
+        "generator": 34,
+        "group_order": 34359738367,
+        "group_factors": [[31, 1], [71, 1], [127, 1], [122921, 1]],
+    }
