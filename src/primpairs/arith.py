@@ -1,10 +1,10 @@
 """Exact integer arithmetic: factorization, multiplicative functions, primes.
 
-Everything here is deterministic.  Factoring uses trial division by all
-primes below 10**6 (batched behind precomputed prime-product gcds, so the
-common case costs a few hundred bigint gcds) followed by Brent's variant of
-Pollard rho with a fixed parameter sequence.  Primality is Miller-Rabin with
-the deterministic 12-witness set below 2**64 and fixed prime witnesses above.
+Everything here is deterministic.  Factoring trial-divides by the primes
+below 10**6 that can divide the number (p = 1 mod d or p | d for a part
+Phi_d(q) of q**m - 1) behind prime-product gcds, then runs Brent's Pollard
+rho with a fixed parameter sequence.  Primality is Miller-Rabin with the
+deterministic 12-witness set below 2**64 and fixed prime witnesses above.
 
 The quantities of interest downstream are the group orders q**m - 1 and
 their derived multiplicative functions: omega (distinct prime count),
@@ -21,6 +21,7 @@ with directed rounding for comparison against printed table digits.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -30,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
+
+import numpy as np
 
 ExactRational = Fraction
 
@@ -114,32 +117,40 @@ def is_probable_prime(n: int, rounds: int = 24) -> bool:
 # ---------------------------------------------------------------------------
 # factoring
 
-_trial_chunks: list[tuple[list[int], int]] = []
+_trial_chunks: dict[int, list[tuple[int, int, int]]] = {}
 
 
-def _get_trial_chunks() -> list[tuple[list[int], int]]:
-    # products of ~512 primes each; gcd against a chunk product detects all
-    # divisors in the chunk at once
-    if not _trial_chunks:
-        ps = primes_upto(TRIAL_LIMIT)
-        for i in range(0, len(ps), 512):
-            chunk = ps[i : i + 512]
-            _trial_chunks.append((chunk, math.prod(chunk)))
-    return _trial_chunks
+@functools.cache
+def _trial_primes() -> np.ndarray:
+    return np.array(primes_upto(TRIAL_LIMIT), dtype=np.int32)
 
 
-def _trial_divide(n: int) -> tuple[dict[int, int], int]:
-    """Split n >= 1 into {p: e} over its primes below TRIAL_LIMIT and the
-    cofactor, every prime factor of which exceeds TRIAL_LIMIT."""
+def _get_trial_chunks(d: int) -> list[tuple[int, int, int]]:
+    """Table d, built on first use: the primes below TRIAL_LIMIT that can
+    divide a value of Phi_d, p = 1 (mod d) or p | d (all primes for d <= 2),
+    as (lo, hi, product) of ~512 of them, all in _sieve_primes[lo:hi]."""
+    chunks = _trial_chunks.get(d)
+    if chunks is None:
+        ps = _trial_primes()
+        idx = np.flatnonzero((ps % d == 1 % d) | (d % ps == 0))
+        chunks = _trial_chunks[d] = [
+            (int(sel[0]), int(sel[-1]) + 1, math.prod(ps[sel].tolist()))
+            for sel in (idx[i : i + 512] for i in range(0, len(idx), 512))]
+    return chunks
+
+
+def _trial_divide(n: int, d: int = 1) -> tuple[dict[int, int], int]:
+    """Split n >= 1 into {p: e} over its primes in table d and a cofactor,
+    whose primes all exceed TRIAL_LIMIT if d = 1 or n is a value of Phi_d."""
     fac: dict[int, int] = {}
     rem = n
-    for chunk, prod in _get_trial_chunks():
+    for lo, hi, prod in _get_trial_chunks(d):
         if rem == 1:
             break
         g = math.gcd(rem, prod)
         if g == 1:
             continue
-        for p in chunk:
+        for p in _sieve_primes[lo:hi]:
             if g % p == 0:
                 e = 0
                 while rem % p == 0:
@@ -258,6 +269,12 @@ def merge_factored(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
 def factor(n: int, *, cache: "FactorCache | None" = None,
            budget: int = DEFAULT_FACTOR_BUDGET) -> FactoredInteger:
     """Complete prime factorization of n >= 1."""
+    return _factor_part(n, 1, cache, budget)
+
+
+def _factor_part(n: int, d: int, cache: "FactorCache | None",
+                 budget: int) -> FactoredInteger:
+    """factor(n), trial-dividing by table d (n a value of Phi_d if d > 1)."""
     if n < 1:
         raise ValueError("factor() needs a positive integer")
     if n == 1:
@@ -267,7 +284,7 @@ def factor(n: int, *, cache: "FactorCache | None" = None,
         if hit is not None:
             return factored(n, hit)
 
-    fac, rem = _trial_divide(n)
+    fac, rem = _trial_divide(n, d)
     stack = [rem] if rem > 1 else []
     while stack:
         c = stack.pop()
@@ -278,9 +295,9 @@ def factor(n: int, *, cache: "FactorCache | None" = None,
         if k > 1:
             stack.extend([b] * k)
             continue
-        d = _brent_rho(c, budget)
-        stack.append(d)
-        stack.append(c // d)
+        f = _brent_rho(c, budget)
+        stack.append(f)
+        stack.append(c // f)
 
     result = factored(n, fac.items())
     if cache is not None:
@@ -293,17 +310,23 @@ def _divisors_of(n: int) -> list[int]:
     return sorted(set(small + [n // d for d in small]))
 
 
+@functools.cache
+def _cyclotomic_exponents(d: int) -> tuple[tuple[int, int], ...]:
+    """(d // s, mu(s)) over the squarefree divisors s of d."""
+    return tuple((d // s.value, moebius(s)) for s in squarefree_divisors(factor(d)))
+
+
 def cyclotomic_value(d: int, q: int) -> int:
     """Phi_d(q), the d-th cyclotomic polynomial at q, via the Moebius
     product Phi_d(q) = prod over squarefree s | d of (q^(d/s) - 1)^mu(s),
     from one factorization of d.  Exact division."""
     num = 1
     den = 1
-    for s in squarefree_divisors(factor(d)):
-        if moebius(s) == 1:
-            num *= q ** (d // s.value) - 1
+    for e, mu in _cyclotomic_exponents(d):
+        if mu == 1:
+            num *= q ** e - 1
         else:
-            den *= q ** (d // s.value) - 1
+            den *= q ** e - 1
     assert num % den == 0
     return num // den
 
@@ -315,7 +338,7 @@ def factor_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
     whole, and parts recur across m (Phi_1(q) = q - 1 for every m)."""
     out = FactoredInteger(1, ())
     for d in _divisors_of(m):
-        out = merge_factored(out, factor(cyclotomic_value(d, q), cache=cache, budget=budget))
+        out = merge_factored(out, _factor_part(cyclotomic_value(d, q), d, cache, budget))
     assert out.value == q ** m - 1
     return out
 
@@ -324,18 +347,20 @@ def omega_bounds_qm_minus_1(q: int, m: int, *,
                             cache: "FactorCache | None" = None) -> tuple[int, int]:
     """(lo, hi) with lo <= omega(q**m - 1) <= hi, from trial division alone.
 
-    Each part Phi_d(q), d | m, is read from the cache or trial-divided to
-    TRIAL_LIMIT.  A cofactor that is 1 or passes is_probable_prime makes
-    the part exact (and the part is cached); a composite cofactor c has at
-    least 1 and at most k distinct primes, k the largest with
-    TRIAL_LIMIT**k < c, since each of them exceeds TRIAL_LIMIT.
+    Each part Phi_d(q), d | m, is read from the cache or trial-divided by
+    table d, which holds every prime below TRIAL_LIMIT that can divide it
+    (for p not dividing d, q has order d mod p, so d | p - 1).  A cofactor
+    that is 1 or passes is_probable_prime makes the part exact (and the
+    part is cached); a composite cofactor c has at least 1 and at most k
+    distinct primes, k the largest with TRIAL_LIMIT**k < c, since each of
+    them exceeds TRIAL_LIMIT.
 
     Primes are unioned across parts and cofactor counts add.  This is
     sound because a prime dividing Phi_d(q) and Phi_e(q) for d != e must
     divide m: with d0 the order of q mod p, p | Phi_d(q) only for
     d = d0 * p**j, j >= 0, so one of d, e is a multiple of p.  As
-    m < TRIAL_LIMIT, a shared prime is one trial division finds, never one
-    inside two cofactors."""
+    m < TRIAL_LIMIT, a shared prime is in the table of each part it
+    divides, so trial division finds it, never two cofactors."""
     if not 1 <= m < TRIAL_LIMIT:
         raise ValueError("omega bounds need 1 <= m < TRIAL_LIMIT")
     primes: set[int] = set()
@@ -346,7 +371,7 @@ def omega_bounds_qm_minus_1(q: int, m: int, *,
         if hit is not None:
             primes.update(p for p, _ in hit)
             continue
-        fac, rem = _trial_divide(part)
+        fac, rem = _trial_divide(part, d)
         primes.update(fac)
         if rem > 1 and not is_probable_prime(rem):
             k = 1

@@ -160,6 +160,42 @@ def test_cyclotomic_values():
     assert arith.cyclotomic_value(2, 10) == 11
     assert arith.cyclotomic_value(6, 2) == 3
     assert arith.cyclotomic_value(24, 5) == 390001
+    # Phi_12(q) = (q^12 - 1)(q^2 - 1) / ((q^6 - 1)(q^4 - 1))
+    assert arith._cyclotomic_exponents(12) == ((12, 1), (6, -1), (4, -1), (2, 1))
+
+
+# a prime dividing both d and the part: Phi_7(8) = 7 * 42799, Phi_3(4) =
+# 3 * 7, Phi_9(4) = 3 * 19 * 73; d a prime power: 8, 9, 49
+@example(8, 7)
+@example(4, 3)
+@example(4, 9)
+@example(3, 8)
+@example(7, 9)
+@example(8, 49)
+@given(st.sampled_from(arith.prime_powers_upto(20000)),
+       st.integers(min_value=1, max_value=80))
+def test_trial_table_d_finds_every_small_prime_of_phi_d(q, d):
+    part = arith.cyclotomic_value(d, q)
+    assert arith._trial_divide(part, d) == arith._trial_divide(part)
+
+
+def test_cyclotomic_prime_factors_are_in_table_d():
+    # oracle: sympy's factorization, not the package's
+    from sympy import factorint
+    for d in range(1, 25):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for p in factorint(arith.cyclotomic_value(d, q)):
+                assert p % d == 1 % d or d % p == 0, (d, q, p)
+                if p < arith.TRIAL_LIMIT:
+                    assert any(prod % p == 0 for _, _, prod
+                               in arith._get_trial_chunks(d)), (d, q, p)
+
+
+def test_trial_tables_hold_only_the_primes_that_can_divide():
+    ps = primes_upto(arith.TRIAL_LIMIT - 1)
+    assert len(arith._get_trial_chunks(1)) == math.ceil(len(ps) / 512) == 154
+    ones_mod_7 = sum(p % 7 == 1 for p in ps)
+    assert len(arith._get_trial_chunks(7)) <= math.ceil(ones_mod_7 / 512) + 1
 
 
 @pytest.mark.parametrize("n,om,phi,mu", [
