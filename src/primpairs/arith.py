@@ -34,8 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-ExactRational = Fraction
-
 TRIAL_LIMIT = 10 ** 6
 DEFAULT_FACTOR_BUDGET = 50_000_000  # Pollard rho iterations per factor() call
 
@@ -55,27 +53,25 @@ def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, cached module-wide (sieve of Eratosthenes)."""
     global _sieve_primes, _sieve_limit
     if limit > _sieve_limit:
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
+        sieve = np.ones(limit + 1, dtype=bool)
+        sieve[:2] = False
         for p in range(2, math.isqrt(limit) + 1):
             if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _sieve_primes = [i for i in range(limit + 1) for _ in range(sieve[i])]
+                sieve[p * p :: p] = False
+        _sieve_primes = np.flatnonzero(sieve).tolist()
         _sieve_limit = limit
     return _sieve_primes[: bisect_right(_sieve_primes, limit)]
 
 
 def nth_primes(k: int) -> list[int]:
-    """First k primes.  k up to the configured sieve range (>= 500 needed
-    by the worst-case tables; the default limit covers ~78498)."""
+    """First k primes, k up to the 78498 primes below TRIAL_LIMIT (>= 500
+    needed by the worst-case tables)."""
     if k < 1:
         raise ValueError("k must be positive")
     if k > 78498:  # primes below TRIAL_LIMIT
         raise ValueError("k beyond configured sieve bound")
     if len(_sieve_primes) < k:
-        # p_k < k(ln k + ln ln k) for k >= 6; small k padded
-        bound = 100 if k < 25 else int(k * (math.log(k) + math.log(math.log(k)))) + 10
-        primes_upto(min(bound, TRIAL_LIMIT))
+        primes_upto(TRIAL_LIMIT)
     return _sieve_primes[:k]
 
 
@@ -279,13 +275,10 @@ def _factor_part(n: int, d: int, cache: "FactorCache | None",
         raise ValueError("factor() needs a positive integer")
     if n == 1:
         return FactoredInteger(1, ())
-    if cache is not None:
-        hit = cache.get(n)
-        if hit is not None:
-            return factored(n, hit)
-
-    fac, rem = _trial_divide(n, d)
-    stack = [rem] if rem > 1 else []
+    fac, rem = _split_part(n, d, cache)
+    if rem == 1:
+        return factored(n, fac.items())
+    stack = [rem]
     while stack:
         c = stack.pop()
         if is_probable_prime(c):
@@ -303,6 +296,25 @@ def _factor_part(n: int, d: int, cache: "FactorCache | None",
     if cache is not None:
         cache.put(n, result.factors)
     return result
+
+
+def _split_part(n: int, d: int, cache: "FactorCache | None"
+                ) -> tuple[dict[int, int], int]:
+    """Split n >= 1 (a value of Phi_d if d > 1) into {p: e} and a cofactor
+    that is 1 or composite, from the cache or by trial division by table d
+    and a primality test on what is left.  A split with no composite
+    cofactor is the whole factorization, and it is cached."""
+    hit = cache.get(n) if cache is not None else None
+    if hit is not None:
+        return dict(hit), 1
+    fac, rem = _trial_divide(n, d)
+    if rem > 1 and not is_probable_prime(rem):
+        return fac, rem
+    if rem > 1:
+        fac[rem] = 1
+    if cache is not None and n > 1:
+        cache.put(n, factored(n, fac.items()).factors)
+    return fac, 1
 
 
 def _divisors_of(n: int) -> list[int]:
@@ -366,25 +378,14 @@ def omega_bounds_qm_minus_1(q: int, m: int, *,
     primes: set[int] = set()
     lo = hi = 0  # distinct primes inside the composite cofactors
     for d in _divisors_of(m):
-        part = cyclotomic_value(d, q)
-        hit = cache.get(part) if cache is not None else None
-        if hit is not None:
-            primes.update(p for p, _ in hit)
-            continue
-        fac, rem = _trial_divide(part, d)
+        fac, rem = _split_part(cyclotomic_value(d, q), d, cache)
         primes.update(fac)
-        if rem > 1 and not is_probable_prime(rem):
+        if rem > 1:
             k = 1
             while TRIAL_LIMIT ** (k + 1) < rem:
                 k += 1
             lo += 1
             hi += k
-            continue
-        if rem > 1:
-            primes.add(rem)
-            fac[rem] = 1
-        if cache is not None and part > 1:
-            cache.put(part, factored(part, fac.items()).factors)
     return len(primes) + lo, len(primes) + hi
 
 

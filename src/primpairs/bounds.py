@@ -18,6 +18,7 @@ from itertools import combinations
 from math import prod
 
 from .arith import (
+    DEFAULT_FACTOR_BUDGET,
     FactorCache,
     FactoredInteger,
     decimal_lower,
@@ -160,11 +161,11 @@ def evaluate_l(q: int, m: int, n: int, group: FactoredInteger,
 
 def certificate_search(q: int, m: int, n: int, *,
                        cache: FactorCache | None = None,
-                       budget: int | None = None) -> SieveCertificate | None:
+                       budget: int = DEFAULT_FACTOR_BUDGET
+                       ) -> SieveCertificate | None:
     """First passing certificate over l_radical drawn from subsets of the
     six smallest primes of q^m-1, smaller W(l) first, then smaller l."""
-    kwargs = {} if budget is None else {"budget": budget}
-    group = factor_qm_minus_1(q, m, cache=cache, **kwargs)
+    group = factor_qm_minus_1(q, m, cache=cache, budget=budget)
     head = group.primes[: min(len(group.primes), 6)]
     for size in range(len(head) + 1):
         subsets = sorted(combinations(head, size), key=prod)

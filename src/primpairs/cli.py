@@ -2,7 +2,10 @@
 
 One subcommand per stage, deterministic output given the same flags, CSV
 columns mirroring the reference tables so regenerated files diff cleanly.
-Exit codes: 0 success, 2 a budget was exhausted, 3 invalid input.
+Each command returns its records as (json object, csv line) pairs and
+`main` renders them once; `verify` and `crosscheck` have no csv line and
+always print JSON.  Exit codes: 0 success, 2 a budget was exhausted,
+3 invalid input.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -49,117 +51,45 @@ EXIT_BUDGET = 2
 EXIT_INVALID = 3
 
 
-@dataclass
-class RunConfig:
-    """Knobs shared by all subcommands; every output is a pure function of
-    the subcommand arguments plus this."""
-
-    seed: int = 0
-    factor_budget: int = DEFAULT_FACTOR_BUDGET
-    enum_budget: int = DEFAULT_ALPHA_BUDGET
-    format: str = "csv"
-    cache: str | None = None
-    out: str | None = None
-
-    def __post_init__(self):
-        self._cache_obj: FactorCache | None = None
-
-    def validate(self) -> None:
-        for name in ("factor_budget", "enum_budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if not -(1 << 63) <= self.seed < 1 << 63:
-            raise ValueError("seed must fit in 64 bits")
-
-    def factor_cache(self) -> FactorCache | None:
-        if self.cache is None:
-            return None
-        if self._cache_obj is None:
-            self._cache_obj = FactorCache(self.cache)
-        return self._cache_obj
-
-    def save_cache(self) -> None:
-        if self._cache_obj is not None:
-            self._cache_obj.save()
-
-    def manifest(self) -> dict:
-        return {"seed": self.seed,
-                "factor_budget": self.factor_budget,
-                "enum_budget": self.enum_budget}
-
-
-class _Sink:
-    """Stdout or --out file, line-oriented."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-        self.lines: list[str] = []
-
-    def line(self, text: str) -> None:
-        self.lines.append(text)
-
-    def json(self, obj) -> None:
-        self.lines.append(json.dumps(obj, sort_keys=True))
-
-    def flush(self) -> None:
-        payload = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.path is None:
-            sys.stdout.write(payload)
-        else:
-            with open(self.path, "w") as fh:
-                fh.write(payload)
+def _manifest(args) -> dict:
+    return {"seed": args.seed,
+            "factor_budget": args.budget_factor,
+            "enum_budget": args.budget_enum}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns a list of (json object, csv line or None)
 
-def cmd_factor(args, cfg: RunConfig, sink: _Sink) -> int:
+def cmd_factor(args) -> list:
     if args.N < 1:
         raise ValueError("N must be positive")
-    fact = factor(args.N, cache=cfg.factor_cache(), budget=cfg.factor_budget)
-    if cfg.format == "json":
-        sink.json({"n": args.N, "factors": [list(pe) for pe in fact.factors]})
-    else:
-        sink.line(" ".join(str(p) for p, e in fact.factors for _ in range(e)))
-    return EXIT_OK
+    fact = factor(args.N, cache=args.cache, budget=args.budget_factor)
+    return [({"n": args.N, "factors": [list(pe) for pe in fact.factors]},
+             " ".join(str(p) for p, e in fact.factors for _ in range(e)))]
 
 
-def cmd_check(args, cfg: RunConfig, sink: _Sink) -> int:
-    group = factor_qm_minus_1(args.q, args.m, cache=cfg.factor_cache(),
-                              budget=cfg.factor_budget)
+def cmd_check(args) -> list:
+    group = factor_qm_minus_1(args.q, args.m, cache=args.cache,
+                              budget=args.budget_factor)
     W = squarefree_divisor_count(group)
     margin = main_margin(args.q, args.m, args.n, W)
-    ok = margin > 0
-    if cfg.format == "json":
-        sink.json({"q": args.q, "m": args.m, "n": args.n, "W": W,
-                   "pass": ok, "equality": margin == 0,
-                   "margin": str(margin)})
-    else:
-        verdict = "PASS" if ok else "FAIL"
-        if margin == 0:
-            verdict += " equality"
-        sink.line(f"{verdict} q={args.q} m={args.m} n={args.n} W={W}")
-    return EXIT_OK
+    verdict = "PASS" if margin > 0 else "FAIL"
+    if margin == 0:
+        verdict += " equality"
+    return [({"q": args.q, "m": args.m, "n": args.n, "W": W,
+              "pass": margin > 0, "equality": margin == 0,
+              "margin": str(margin)},
+             f"{verdict} q={args.q} m={args.m} n={args.n} W={W}")]
 
 
-def cmd_sieve(args, cfg: RunConfig, sink: _Sink) -> int:
-    cert = certificate_search(args.q, args.m, args.n,
-                              cache=cfg.factor_cache(),
-                              budget=cfg.factor_budget)
+def cmd_sieve(args) -> list:
+    cert = certificate_search(args.q, args.m, args.n, cache=args.cache,
+                              budget=args.budget_factor)
     if cert is None:
-        if cfg.format == "json":
-            sink.json({"q": args.q, "m": args.m, "n": args.n,
-                       "certificate": None})
-        else:
-            sink.line("none")
-        return EXIT_OK
-    if cfg.format == "json":
-        sink.json(cert.serialize())
-    else:
-        sink.line(",".join(str(x) for x in cert.csv_row(1)[1:]))
-    return EXIT_OK
+        return [({"q": args.q, "m": args.m, "n": args.n,
+                  "certificate": None}, "none")]
+    return [(cert.serialize(),
+             ",".join(str(x) for x in cert.csv_row(1)[1:]))]
 
 
 def _parse_m_range(text: str) -> range:
@@ -169,19 +99,19 @@ def _parse_m_range(text: str) -> range:
     return range(int(text), int(text) + 1)
 
 
-def cmd_appendix2(args, cfg: RunConfig, sink: _Sink) -> int:
+def cmd_appendix2(args) -> list:
     """Recompute every listed certificate row for the requested m values
     from the factorization of q^m - 1 and the listed l.  Warn on stderr
     where a listed delta/Delta lies farther from the exact value than
     bound_window allows: 1e-9 or one unit in its last printed place,
     whichever is coarser."""
     wanted = _parse_m_range(args.m_range)
-    cache = cfg.factor_cache()
+    records = []
     for row in load_certificate_rows():
         if row.m not in wanted:
             continue
-        group = factor_qm_minus_1(row.q, row.m, cache=cache,
-                                  budget=cfg.factor_budget)
+        group = factor_qm_minus_1(row.q, row.m, cache=args.cache,
+                                  budget=args.budget_factor)
         cert = evaluate_l(row.q, row.m, 2, group, factor(row.l))
         if not cert.passes:
             print(f"warning: m={row.m} q={row.q} l={row.l}: "
@@ -193,58 +123,44 @@ def cmd_appendix2(args, cfg: RunConfig, sink: _Sink) -> int:
                 print(f"warning: m={row.m} q={row.q} l={row.l}: {column} "
                       f"{blob[column + '_decimal']} vs listed {listed}",
                       file=sys.stderr)
-        if cfg.format == "json":
-            out = {"m": row.m, "sr": row.sr}
-            out.update(blob)
-            sink.json(out)
-        else:
-            sink.line(f"{row.m}," + ",".join(
-                str(x) for x in cert.csv_row(row.sr)))
-    return EXIT_OK
+        records.append(({"m": row.m, "sr": row.sr, **blob},
+                        f"{row.m}," + ",".join(
+                            str(x) for x in cert.csv_row(row.sr))))
+    return records
 
 
-def cmd_scan(args, cfg: RunConfig, sink: _Sink) -> int:
-    records = scan_exceptions(args.n, cache=cfg.factor_cache(),
-                              budget=cfg.factor_budget)
-    for rec in records:
-        if cfg.format == "json":
-            sink.json({"m": rec.m, "q": rec.q, "equality": rec.equality})
-        else:
-            sink.line(f"{rec.m},{rec.q},{int(rec.equality)}")
-    return EXIT_OK
+def cmd_scan(args) -> list:
+    return [({"m": rec.m, "q": rec.q, "equality": rec.equality},
+             f"{rec.m},{rec.q},{int(rec.equality)}")
+            for rec in scan_exceptions(args.n, cache=args.cache,
+                                       budget=args.budget_factor)]
 
 
-def cmd_table1(args, cfg: RunConfig, sink: _Sink) -> int:
+def cmd_table1(args) -> list:
+    records = []
     for sr, ((a, b), part) in enumerate(zip(WINDOWS, WINDOW_PARTS), start=1):
         row = worst_case_row(a, b, args.n)
         delta = decimal_lower(row.delta_lower, 7)
         Delta = decimal_upper(row.Delta_upper, 7)
-        if cfg.format == "json":
-            sink.json({"sr": sr, "a": a, "b": b, "log2_Wl": a,
-                       "delta": delta, "Delta": Delta,
-                       "bound": row.bound_value, "part": part})
-        else:
-            sink.line(",".join(str(x) for x in
-                               [sr, a, b, a, delta, Delta,
-                                row.bound_value, part]))
-    return EXIT_OK
+        records.append(({"sr": sr, "a": a, "b": b, "log2_Wl": a,
+                         "delta": delta, "Delta": Delta,
+                         "bound": row.bound_value, "part": part},
+                        ",".join(str(x) for x in
+                                 [sr, a, b, a, delta, Delta,
+                                  row.bound_value, part])))
+    return records
 
 
-def cmd_verify(args, cfg: RunConfig, sink: _Sink) -> int:
-    verdict = resolve_pair(
-        args.q, args.m, args.n,
-        alpha_budget=cfg.enum_budget,
-        sample_count=args.sample,
-        seed=cfg.seed,
-        cache=cfg.factor_cache(),
-        factor_budget=cfg.factor_budget)
-    manifest = cfg.manifest()
-    manifest["sample"] = args.sample
-    sink.json({"verdict": verdict.serialize(), "manifest": manifest})
-    return EXIT_OK
+def cmd_verify(args) -> list:
+    verdict = resolve_pair(args.q, args.m, args.n,
+                           alpha_budget=args.budget_enum,
+                           sample_count=args.sample, seed=args.seed,
+                           cache=args.cache, factor_budget=args.budget_factor)
+    return [({"verdict": verdict.serialize(),
+              "manifest": {**_manifest(args), "sample": args.sample}}, None)]
 
 
-def cmd_crosscheck(args, cfg: RunConfig, sink: _Sink) -> int:
+def cmd_crosscheck(args) -> list:
     # for p >= 2 an exponent past the limit's bit length already exceeds
     # the limit; test it first, since p ** exponent may not fit in memory
     exponent = args.k * args.m
@@ -252,14 +168,13 @@ def cmd_crosscheck(args, cfg: RunConfig, sink: _Sink) -> int:
         raise EnumerationBudgetExceeded(
             f"field size {args.p}^{exponent} beyond dlog table limit "
             f"{DLOG_LIMIT}")
-    ctx = build_ctx(args.p, args.k, args.m, cache=cfg.factor_cache(),
-                    factor_budget=cfg.factor_budget)
-    report = crosscheck_identity(ctx, args.trials, cfg.seed)
+    ctx = build_ctx(args.p, args.k, args.m, cache=args.cache,
+                    factor_budget=args.budget_factor)
+    report = crosscheck_identity(ctx, args.trials, args.seed)
     blob = report.serialize()
     blob["ok"] = report.ok
-    blob["manifest"] = cfg.manifest()
-    sink.json(blob)
-    return EXIT_OK
+    blob["manifest"] = _manifest(args)
+    return [(blob, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +241,39 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cache = args.cache if args.cache is not None else os.environ.get(CACHE_ENV)
+    args = build_parser().parse_args(argv)
     if getattr(args, "sub_seed", None) is not None:
         args.seed = args.sub_seed
-    cfg = RunConfig(seed=args.seed,
-                    factor_budget=args.budget_factor,
-                    enum_budget=args.budget_enum,
-                    format=args.format, cache=cache, out=args.out)
-    sink = _Sink(cfg.out)
+    path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV)
+    args.cache = FactorCache(path) if path else None
     try:
-        cfg.validate()
-        code = args.func(args, cfg, sink)
+        for name, value in (("factor_budget", args.budget_factor),
+                            ("enum_budget", args.budget_enum)):
+            if value < 1:
+                raise ValueError(f"{name} must be positive")
+        if not -(1 << 63) <= args.seed < 1 << 63:
+            raise ValueError("seed must fit in 64 bits")
+        records = args.func(args)
     except (FactorBudgetExceeded, EnumerationBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    cfg.save_cache()
-    sink.flush()
-    return code
+    payload = "".join(
+        (json.dumps(obj, sort_keys=True)
+         if args.format == "json" or line is None else line) + "\n"
+        for obj, line in records)
+    if args.out is None:
+        sys.stdout.write(payload)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(payload)
+    if args.cache is not None:
+        try:
+            args.cache.save()
+        except OSError as exc:
+            print(f"invalid input: cannot save factor cache {path}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            return EXIT_INVALID
+    return EXIT_OK

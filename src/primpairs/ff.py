@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arith import (
+    DEFAULT_FACTOR_BUDGET,
     FactoredInteger,
     factor,
     factor_qm_minus_1,
@@ -248,7 +249,7 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, k: int, m: int, *, dlog_limit: int = DLOG_LIMIT,
-                 cache=None, factor_budget=None):
+                 cache=None, factor_budget: int = DEFAULT_FACTOR_BUDGET):
         if not is_probable_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if k < 1 or m < 1:
@@ -266,11 +267,8 @@ class FieldCtx:
             self.subfield = FieldCtx(p, 1, k, dlog_limit=dlog_limit,
                                      cache=cache, factor_budget=factor_budget)
         self.poly = first_irreducible(self.subfield, m)
-        kwargs = {}
-        if factor_budget is not None:
-            kwargs["budget"] = factor_budget
         self.group_factors: FactoredInteger = factor_qm_minus_1(
-            self.q, m, cache=cache, **kwargs)
+            self.q, m, cache=cache, budget=factor_budget)
 
         self.exp = None
         self.dlog = None
@@ -531,7 +529,8 @@ class FieldCtx:
 
 
 def build_ctx(p: int, k: int, m: int, *, dlog_limit: int = DLOG_LIMIT,
-              cache=None, factor_budget=None) -> FieldCtx:
+              cache=None, factor_budget: int = DEFAULT_FACTOR_BUDGET
+              ) -> FieldCtx:
     """Deterministic field context for F_{(p^k)^m}."""
     return FieldCtx(p, k, m, dlog_limit=dlog_limit, cache=cache,
                     factor_budget=factor_budget)

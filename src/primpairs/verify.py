@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (
+    DEFAULT_FACTOR_BUDGET,
     FactorCache,
     factor,
     factor_qm_minus_1,
@@ -230,10 +231,6 @@ class CountTable:
     def min_cell(self) -> int:
         return min(min(row) for row in self.counts)
 
-    def serialize(self) -> dict:
-        return {"f": self.f.serialize(), "l1": self.l1, "l2": self.l2,
-                "counts": [list(r) for r in self.counts], "total": self.total}
-
 
 def count_table(f: RationalFunction, l1: int, l2: int, *,
                 budget: int = DEFAULT_ALPHA_BUDGET) -> CountTable:
@@ -308,10 +305,9 @@ def resolve_pair(q: int, m: int, n: int, *,
                  sample_count: int = DEFAULT_SAMPLE,
                  seed: int = 0,
                  cache: FactorCache | None = None,
-                 factor_budget: int | None = None) -> PairVerdict:
+                 factor_budget: int = DEFAULT_FACTOR_BUDGET) -> PairVerdict:
     """Cheapest-first membership pipeline for (q, m) in Q_n."""
-    kwargs = {} if factor_budget is None else {"budget": factor_budget}
-    group = factor_qm_minus_1(q, m, cache=cache, **kwargs)
+    group = factor_qm_minus_1(q, m, cache=cache, budget=factor_budget)
     W = squarefree_divisor_count(group)
     if m >= 5:
         if main_margin(q, m, n, W) > 0:
@@ -428,7 +424,7 @@ class ScanRecord:
 
 
 def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
-                    budget: int | None = None,
+                    budget: int = DEFAULT_FACTOR_BUDGET,
                     progress=None) -> list[ScanRecord]:
     """Every prime power under the threshold cascade whose exact main
     condition fails, ordered by (m, q).  Each of these pairs must then be
@@ -440,7 +436,6 @@ def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
     equality.  Only a pair whose bracket straddles margin 0 is factored in
     full (Pollard rho); equality is read only from an exact W."""
     out = []
-    kwargs = {} if budget is None else {"budget": budget}
     cascade = threshold_cascade(n)
     for m in sorted(cascade):
         qmax = cascade[m]
@@ -450,7 +445,8 @@ def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
             if margin <= 0 and lo < hi:
                 margin = main_margin(q, m, n, 1 << lo)
                 if margin >= 0:  # the bracket straddles 0: factor in full
-                    group = factor_qm_minus_1(q, m, cache=cache, **kwargs)
+                    group = factor_qm_minus_1(q, m, cache=cache,
+                                              budget=budget)
                     margin = main_margin(q, m, n,
                                          squarefree_divisor_count(group))
             if margin <= 0:

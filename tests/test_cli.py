@@ -222,6 +222,30 @@ def test_factor_ignores_poisoned_cache_entry(capsys, tmp_path):
     assert json.loads(cache.read_text())["91"] == [[7, 1], [13, 1]]
 
 
+def test_unwritable_cache_keeps_output(tmp_path, capsys):
+    # the result is written first; the failed save is one clean line
+    code, out, err = run(capsys, "--cache", str(tmp_path), "factor", "6")
+    assert code == 3 and out == "2 3\n"
+    assert err == (f"invalid input: cannot save factor cache {tmp_path}: "
+                   "Is a directory\n")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("--cache", "", "factor", "6"), None),
+    (("factor", "6"), ""),
+])
+def test_empty_cache_path_means_no_cache(tmp_path, capsys, monkeypatch,
+                                         argv, env):
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("PRIMPAIRS_CACHE", raising=False)
+    else:
+        monkeypatch.setenv("PRIMPAIRS_CACHE", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, "2 3\n", "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_invalid_input(capsys):
     code, _, err = run(capsys, "check", "9", "4", "2")  # m < 5
     assert code == 3 and "invalid input" in err

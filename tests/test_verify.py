@@ -230,15 +230,6 @@ def test_count_table_primitive_caps(F64):
     assert table.total <= phi
 
 
-def test_count_table_serialize(F9):
-    f = RationalFunction(F9, (0, 1), (1, 1))
-    blob = count_table(f, 8, 4).serialize()
-    assert blob["l1"] == 8 and blob["l2"] == 4
-    assert blob["f"] == {"num": [0, 1], "den": [1, 1]}
-    assert len(blob["counts"]) == 3
-    assert blob["total"] == sum(map(sum, blob["counts"]))
-
-
 def test_grid_counter_agrees_with_count_table(F9, F64):
     # one counter reused across f, as resolve_pair uses it, matches the
     # fresh counter count_table builds per call
