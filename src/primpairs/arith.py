@@ -445,6 +445,16 @@ def iroot(n: int, k: int) -> int:
     return x
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k and p prime; ValueError when q is not a prime
+    power."""
+    if q >= 2:
+        b, k = _perfect_power(q)
+        if is_probable_prime(b):
+            return b, k
+    raise ValueError(f"q = {q} is not a prime power")
+
+
 def prime_powers_upto(limit: int) -> list[int]:
     """All prime powers p^j <= limit (j >= 1), ascending."""
     if limit < 2:

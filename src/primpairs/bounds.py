@@ -28,6 +28,7 @@ from .arith import (
     factored,
     iroot,
     nth_primes,
+    prime_power,
     squarefree_divisor_count,
 )
 
@@ -165,6 +166,7 @@ def certificate_search(q: int, m: int, n: int, *,
                        ) -> SieveCertificate | None:
     """First passing certificate over l_radical drawn from subsets of the
     six smallest primes of q^m-1, smaller W(l) first, then smaller l."""
+    prime_power(q)  # ValueError unless q is a prime power
     group = factor_qm_minus_1(q, m, cache=cache, budget=budget)
     head = group.primes[: min(len(group.primes), 6)]
     for size in range(len(head) + 1):
@@ -209,6 +211,8 @@ class WorstCaseRow:
 def worst_case_row(a: int, b: int, n: int) -> WorstCaseRow:
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
+    if n < 1:
+        raise ValueError("n must be positive")
     ps = nth_primes(b)
     delta = 1 - 2 * sum(Fraction(1, p) for p in ps[a:b])
     if delta <= 0:

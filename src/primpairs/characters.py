@@ -6,7 +6,9 @@ character: chi with exponent e maps x to exp(2 pi i * e * dlog(x) / (q^m-1)).
 The canonical additive character of F_q is psi0(x) = exp(2 pi i * tr(x) / p)
 with tr the absolute trace to F_p; its lift to F_{q^m} composes with the
 relative trace.  These need the context's dlog table, so every operation
-here refuses fields built without one.
+here refuses fields built without one.  Elements are the context's integer
+codes: the indicators rho_u(ctx, alpha, u) and tau_a(ctx, alpha, a) take
+the context and the code of alpha.
 
 The headline operation is the exact-count identity: the number of alpha with
 alpha l1-free, f(alpha) l2-free, and both traces prescribed equals
@@ -28,7 +30,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .arith import euler_phi, factor, moebius, squarefree_divisors
-from .ff import FieldCtx, FieldElement, RationalFunction
+from .ff import FieldCtx, RationalFunction
 
 
 def tolerance(summands: int) -> float:
@@ -37,8 +39,6 @@ def tolerance(summands: int) -> float:
 
 
 def _subfield_code(ctx: FieldCtx, x) -> int:
-    if isinstance(x, FieldElement):
-        x = x.code
     if not isinstance(x, int):
         raise TypeError(f"expected F_q element, got {type(x)!r}")
     if not 0 <= x < ctx.q:
@@ -64,9 +64,7 @@ class MultChar:
     def is_trivial(self) -> bool:
         return self.exponent == 0
 
-    def value(self, x) -> complex:
-        if isinstance(x, FieldElement):
-            x = x.code
+    def value(self, x: int) -> complex:
         if x == 0:
             return 0j
         e = self.exponent * int(self.ctx.dlog[x]) % self.ctx.order
@@ -105,9 +103,7 @@ class AddChar:
     def psi0(self, x) -> complex:
         return complex(self.psi0_t[_subfield_code(self.ctx, x)])
 
-    def psihat(self, x) -> complex:
-        if isinstance(x, FieldElement):
-            x = x.code
+    def psihat(self, x: int) -> complex:
         return complex(self.psihat_t[x])
 
 
@@ -125,12 +121,12 @@ def canonical_add_char(ctx: FieldCtx) -> AddChar:
 # ---------------------------------------------------------------------------
 # indicator functions
 
-def rho_u(alpha: FieldElement, u: int) -> complex:
-    """Character-sum indicator of u-freeness: theta(u) * sum over square-free
-    d | u of mu(d)/phi(d) * sum over chi of order d of chi(alpha)."""
-    ctx = alpha.ctx
+def rho_u(ctx: FieldCtx, alpha: int, u: int) -> complex:
+    """Character-sum indicator of u-freeness of the code alpha: theta(u) *
+    sum over square-free d | u of mu(d)/phi(d) * sum over chi of order d of
+    chi(alpha)."""
     ctx._need_tables()
-    if alpha.code == 0:
+    if not 0 < alpha < ctx.N:
         raise ValueError("rho_u is defined on the multiplicative group")
     if u < 1 or ctx.order % u != 0:
         raise ValueError(f"u = {u} does not divide the group order")
@@ -144,14 +140,16 @@ def rho_u(alpha: FieldElement, u: int) -> complex:
     return float(theta) * total
 
 
-def tau_a(alpha: FieldElement, a) -> complex:
-    """Character-sum indicator of Tr(alpha) = a: averages psi(Tr(alpha) - a)
-    over all q additive characters psi of F_q."""
-    ctx = alpha.ctx
+def tau_a(ctx: FieldCtx, alpha: int, a: int) -> complex:
+    """Character-sum indicator of Tr(alpha) = a for the code alpha and the
+    F_q code a: averages psi(Tr(alpha) - a) over all q additive characters
+    psi of F_q."""
+    if not 0 <= alpha < ctx.N:
+        raise ValueError(f"code {alpha} out of range")
     ac = canonical_add_char(ctx)
     a = _subfield_code(ctx, a)
     sub = ctx.subfield
-    diff = sub.sub(ctx.trace_q(alpha.code), a)
+    diff = sub.sub(ctx.trace_q(alpha), a)
     total = sum(ac.psi0(sub.mul(u, diff)) for u in range(ctx.q))
     return total / ctx.q
 
@@ -184,10 +182,10 @@ class ChiPrecompute:
         inv = ctx.varr_inv(alphas)
         rows = []
         for u in range(ctx.q):
-            ua = ctx.varr_mul(np.full_like(alphas, u), alphas)
+            ua = ctx.varr_mul(u, alphas)
             for v in range(ctx.q):
-                vi = ctx.varr_mul(np.full_like(alphas, v), inv)
-                rows.append(ac.psihat_t[ctx.varr_add(ua, vi)])
+                vi = ctx.varr_mul(v, inv)
+                rows.append(ac.psihat_t[ctx.add(ua, vi)])
         self.psimat = np.array(rows)  # shape (q^2, len(alphas))
 
     def summands(self) -> int:

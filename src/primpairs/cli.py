@@ -24,6 +24,7 @@ from .arith import (
     decimal_upper,
     factor,
     factor_qm_minus_1,
+    prime_power,
     squarefree_divisor_count,
 )
 from .bounds import (
@@ -69,6 +70,7 @@ def cmd_factor(args) -> list:
 
 
 def cmd_check(args) -> list:
+    prime_power(args.q)  # ValueError unless q is a prime power
     group = factor_qm_minus_1(args.q, args.m, cache=args.cache,
                               budget=args.budget_factor)
     W = squarefree_divisor_count(group)
@@ -264,11 +266,17 @@ def main(argv=None) -> int:
         (json.dumps(obj, sort_keys=True)
          if args.format == "json" or line is None else line) + "\n"
         for obj, line in records)
+    status = EXIT_OK
     if args.out is None:
         sys.stdout.write(payload)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"invalid input: cannot write output {args.out}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            status = EXIT_INVALID
     if args.cache is not None:
         try:
             args.cache.save()
@@ -276,4 +284,4 @@ def main(argv=None) -> int:
             print(f"invalid input: cannot save factor cache {path}: "
                   f"{exc.strerror}", file=sys.stderr)
             return EXIT_INVALID
-    return EXIT_OK
+    return status

@@ -6,7 +6,8 @@ read the code in base q to get the coefficient vector over F_q (low degree
 first), and each F_q coefficient in base p to get its coefficient vector over
 F_p.  Because q = p^k these two readings agree with plain base-p digits of
 the code, which makes addition a digitwise mod-p operation in every field of
-the tower.
+the tower: FieldCtx.add, neg and sub take codes or numpy code arrays alike,
+compute the digits on the fly (XOR in characteristic 2), and need no table.
 
 Defining polynomials are the canonically least monic irreducibles: candidates
 are ordered by the integer formed from their coefficient tuple
@@ -16,7 +17,8 @@ choices make contexts reproducible across runs and machines.
 
 Fields with at most `dlog_limit` elements additionally carry numpy tables
 (powers of the generator, discrete logs, Frobenius, trace, inverses) that the
-character-sum and brute-force layers index directly.
+character-sum and brute-force layers index directly.  There is no digit
+table.
 
 With tables, a monic quadratic x^2 + c1 x + c0 is irreducible exactly when it
 has no root (Lidl-Niederreiter, Finite Fields, ch. 3): for odd q when its
@@ -242,10 +244,11 @@ class FieldCtx:
     The subfield F_q is _PrimeField(p) when k = 1 and FieldCtx(p, 1, k)
     otherwise, so the same class builds every level of the tower.
 
-    Code-level arithmetic methods (add/sub/mul/neg/inv/pow_, frobenius,
-    trace_q) work on integer codes and are table-backed when the field is
-    small enough; array-level methods (varr_*) operate on numpy code arrays
-    and require the tables.
+    add/sub/neg work on integer codes and numpy code arrays alike, with no
+    table.  The other code-level methods (mul/inv/pow_, frobenius, trace_q)
+    take integer codes and are table-backed when the field is small enough;
+    varr_mul and varr_inv operate on numpy code arrays and require the
+    tables.
     """
 
     def __init__(self, p: int, k: int, m: int, *, dlog_limit: int = DLOG_LIMIT,
@@ -276,7 +279,6 @@ class FieldCtx:
         self.trace_t = None
         self.inv_t = None
         self.trace_abs_t = None
-        self._pdigits = None
         self._unity = None
 
         self.generator = self._find_generator_scalar()
@@ -292,31 +294,32 @@ class FieldCtx:
     def encode(self, coeffs) -> int:
         return sum(int(c) * self.q ** i for i, c in enumerate(coeffs))
 
-    # -- scalar arithmetic on codes
+    # -- digit-wise arithmetic on codes or code arrays
 
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
+    def add(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        # (a // w + b // w) % p is the sum of the two digits of weight w:
+        # the higher digits only add multiples of p
+        p, out, w = self.p, 0, 1
+        for _ in range(self.k * self.m):
+            out = out + (a // w + b // w) % p * w
+            w *= p
         return out
 
-    def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
+    def neg(self, a):
+        if self.p == 2:
+            return a
+        p, out, w = self.p, 0, 1
+        for _ in range(self.k * self.m):
+            out = out + -(a // w) % p * w
+            w *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    # -- multiplicative arithmetic on codes
 
     def _mul_poly(self, a: int, b: int) -> int:
         F = self.subfield
@@ -393,21 +396,9 @@ class FieldCtx:
         start = 2 if self.m == 1 else self.q
         return next(c for c in range(start, self.N) if self.is_primitive_code(c))
 
-    def _digit_dtype(self):
-        if self.p < 64:
-            return np.int8
-        if self.p < (1 << 14):
-            return np.int16
-        return np.int64
-
     def _build_tables(self):
         N, p, km = self.N, self.p, self.k * self.m
-        codes = np.arange(N, dtype=np.int64)
-        digits = np.empty((N, km), dtype=self._digit_dtype())
-        for t in range(km):
-            digits[:, t] = (codes // p ** t) % p
-        self._pdigits = digits
-        self._pvec = np.array([p ** t for t in range(km)], dtype=np.int64)
+        weights = p ** np.arange(km, dtype=np.int64)
 
         # multiplication by the generator is F_p-linear; its matrix columns
         # are g * (basis element p^t)
@@ -419,9 +410,9 @@ class FieldCtx:
         perm = np.empty(N, dtype=np.int64)
         step = 1 << 16
         for lo in range(0, N, step):
-            hi = min(lo + step, N)
-            block = digits[lo:hi].astype(np.int64) @ M.T % p
-            perm[lo:hi] = block @ self._pvec
+            block = np.arange(lo, min(lo + step, N), dtype=np.int64)
+            digits = block[:, None] // weights % p
+            perm[lo:lo + len(block)] = digits @ M.T % p @ weights
 
         # orbit of 1 under multiplication by g, filled by permutation doubling
         n1 = N - 1
@@ -449,11 +440,10 @@ class FieldCtx:
         self.inv_t = np.zeros(N, dtype=np.int64)
         self.inv_t[exp] = exp[(-np.arange(n1, dtype=np.int64)) % n1]
 
-        acc = codes.copy()
-        cur = codes.copy()
+        acc = cur = np.arange(N, dtype=np.int64)
         for _ in range(self.m - 1):
             cur = self.frob_t[cur]
-            acc = self.varr_add(acc, cur)
+            acc = self.add(acc, cur)
         if (acc >= self.q).any():
             raise RuntimeError("trace left the base field")
         self.trace_t = acc
@@ -468,12 +458,6 @@ class FieldCtx:
         if self.dlog is None:
             raise RuntimeError(
                 f"field with {self.N} elements exceeds the dlog table limit")
-
-    def varr_add(self, a, b):
-        self._need_tables()
-        # digit dtype is chosen so the sum cannot overflow before the mod
-        s = (self._pdigits[a] + self._pdigits[b]) % self.p
-        return s @ self._pvec
 
     def varr_mul(self, a, b):
         self._need_tables()
@@ -503,8 +487,8 @@ class FieldCtx:
         if self.p == 2:
             t = self.varr_mul(c0, self.varr_inv(self.varr_mul(c1, c1)))
             return self.trace_abs_t[self.trace_t[t]] == 0
-        disc = self.varr_add(self.varr_mul(c1, c1),
-                             self.varr_mul((-4) % self.p, c0))
+        disc = self.add(self.varr_mul(c1, c1),
+                        self.varr_mul((-4) % self.p, c0))
         return (disc == 0) | (self.dlog[disc] % 2 == 0)
 
     # -- serialization
@@ -521,9 +505,6 @@ class FieldCtx:
             "group_factors": [[p, e] for p, e in self.group_factors.factors],
         }
 
-    def element(self, code: int) -> "FieldElement":
-        return FieldElement(self, code)
-
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, k={self.k}, m={self.m})"
 
@@ -534,81 +515,6 @@ def build_ctx(p: int, k: int, m: int, *, dlog_limit: int = DLOG_LIMIT,
     """Deterministic field context for F_{(p^k)^m}."""
     return FieldCtx(p, k, m, dlog_limit=dlog_limit, cache=cache,
                     factor_budget=factor_budget)
-
-
-class FieldElement:
-    """A value in F_{q^m}, stored as its integer code."""
-
-    __slots__ = ("ctx", "code")
-
-    def __init__(self, ctx: FieldCtx, code: int):
-        if not 0 <= code < ctx.N:
-            raise ValueError(f"code {code} out of range")
-        self.ctx = ctx
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.ctx.decode(self.code)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx:
-                raise ValueError("elements from different contexts")
-            return other.code
-        if isinstance(other, int):
-            if not 0 <= other < self.ctx.N:
-                raise ValueError(f"code {other} out of range")
-            return other
-        raise TypeError(f"cannot combine FieldElement with {type(other)!r}")
-
-    def __add__(self, other):
-        return FieldElement(self.ctx, self.ctx.add(self.code, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub(self.code, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.ctx, self.ctx.mul(self.code, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.ctx,
-                            self.ctx.mul(self.code, self.ctx.inv(self._coerce(other))))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow_(self.code, e))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.code))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.ctx is other.ctx and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.code))
-
-    def __repr__(self):
-        return f"<{self.code} in F_{self.ctx.q}^{self.ctx.m}>"
-
-
-def trace_to_base(alpha: FieldElement) -> FieldElement:
-    """Tr_{F_{q^m}/F_q}(alpha), returned as the embedded constant."""
-    return FieldElement(alpha.ctx, alpha.ctx.trace_q(alpha.code))
-
-
-def is_primitive(alpha: FieldElement) -> bool:
-    return alpha.ctx.is_primitive_code(alpha.code)
-
-
-def is_u_free(alpha: FieldElement, u: int) -> bool:
-    return alpha.ctx.is_u_free_code(alpha.code, u)
 
 
 # ---------------------------------------------------------------------------
@@ -694,11 +600,11 @@ class RationalFunction:
 
     def _varr_poly(self, poly, codes):
         ctx = self.ctx
-        acc = np.full(codes.shape, poly[-1], dtype=np.int64)
+        acc = poly[-1]
         for c in reversed(poly[:-1]):
             acc = ctx.varr_mul(acc, codes)
             if c:
-                acc = ctx.varr_add(acc, np.full(codes.shape, c, dtype=np.int64))
+                acc = ctx.add(acc, c)
         return acc
 
     def serialize(self) -> dict:
@@ -729,13 +635,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.label()})"
-
-
-def eval_rational(f: RationalFunction, alpha: FieldElement):
-    out = f.eval_code(alpha.code)
-    if out is POLE:
-        return POLE
-    return FieldElement(f.ctx, out)
 
 
 def is_irreducible_in_ctx(ctx: FieldCtx, poly: tuple) -> bool:

@@ -26,6 +26,7 @@ from .arith import (
     factor_qm_minus_1,
     moebius,
     omega_bounds_qm_minus_1,
+    prime_power,
     prime_powers_upto,
     squarefree_divisor_count,
 )
@@ -307,6 +308,7 @@ def resolve_pair(q: int, m: int, n: int, *,
                  cache: FactorCache | None = None,
                  factor_budget: int = DEFAULT_FACTOR_BUDGET) -> PairVerdict:
     """Cheapest-first membership pipeline for (q, m) in Q_n."""
+    p, k = prime_power(q)
     group = factor_qm_minus_1(q, m, cache=cache, budget=factor_budget)
     W = squarefree_divisor_count(group)
     if m >= 5:
@@ -326,9 +328,7 @@ def resolve_pair(q: int, m: int, n: int, *,
         return PairVerdict(
             q, m, n, UNDECIDED,
             coverage=f"field size {q}^{m} beyond dlog table limit {DLOG_LIMIT}")
-    fact = factor(q)
-    ctx = build_ctx(fact.primes[0], fact.factors[0][1], m,
-                    cache=cache, factor_budget=factor_budget)
+    ctx = build_ctx(p, k, m, cache=cache, factor_budget=factor_budget)
     counter = _GridCounter(ctx, ctx.order)
     exhaustive = sum(count_R(n1, n2, ctx)
                      for n1, n2 in splits_of(n)) <= f_budget

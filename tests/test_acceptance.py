@@ -39,7 +39,7 @@ from primpairs.characters import (
     rho_u,
     tau_a,
 )
-from primpairs.ff import RationalFunction, build_ctx, is_u_free
+from primpairs.ff import RationalFunction, build_ctx
 from primpairs.refdata import (
     bound_window,
     load_certificate_errata,
@@ -183,14 +183,12 @@ def test_criterion_5_character_identities(ctx_f4, ctx_f8, ctx_f9, ctx_f3_4,
         divisors = [u for u in range(1, order + 1) if order % u == 0]
         for u in divisors:
             for code in range(1, ctx.N):
-                el = ctx.element(code)
-                want = 1.0 if is_u_free(el, u) else 0.0
-                assert abs(rho_u(el, u) - want) < 1e-6
+                want = 1.0 if ctx.is_u_free_code(code, u) else 0.0
+                assert abs(rho_u(ctx, code, u) - want) < 1e-6
         for a in range(ctx.q):
             for code in range(ctx.N):
-                el = ctx.element(code)
                 want = 1.0 if ctx.trace_q(code) == a else 0.0
-                assert abs(tau_a(el, a) - want) < 1e-6
+                assert abs(tau_a(ctx, code, a) - want) < 1e-6
 
         report = crosscheck_identity(ctx, 20, seed=50 + ctx.N)
         assert report.trials == 20

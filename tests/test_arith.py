@@ -111,6 +111,20 @@ def test_perfect_power_beyond_float_range():
     assert arith._perfect_power(p ** 12) == (p, 12)
 
 
+def test_prime_power_agrees_with_factor():
+    for q in range(3000):
+        fs = factor(q).factors if q else ()
+        if len(fs) == 1:
+            assert arith.prime_power(q) == fs[0]
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                arith.prime_power(q)
+    p = 2 ** 607 - 1
+    assert arith.prime_power(p ** 5) == (p, 5)
+    with pytest.raises(ValueError):
+        arith.prime_power(p * (2 ** 127 - 1))
+
+
 def test_factored_integer_validation():
     with pytest.raises(ValueError):
         FactoredInteger(12, ((2, 2),))          # wrong product

@@ -180,22 +180,26 @@ def test_rho_matches_u_free_indicator(name, request):
     for u in divisors(ctx.order):
         for code in range(1, ctx.N):
             want = 1.0 if ctx.is_u_free_code(code, u) else 0.0
-            assert abs(rho_u(ctx.element(code), u) - want) < 1e-6
+            assert abs(rho_u(ctx, code, u) - want) < 1e-6
 
 
 def test_rho_hand_checked_f4(ctx_f4):
-    g = ctx_f4.element(ctx_f4.generator)
-    one = ctx_f4.element(1)
-    assert abs(rho_u(g, 3) - 1) < 1e-9
-    assert abs(rho_u(one, 3)) < 1e-9
-    assert abs(rho_u(one, 1) - 1) < 1e-12
+    g = ctx_f4.generator
+    assert abs(rho_u(ctx_f4, g, 3) - 1) < 1e-9
+    assert abs(rho_u(ctx_f4, 1, 3)) < 1e-9
+    assert abs(rho_u(ctx_f4, 1, 1) - 1) < 1e-12
 
 
 def test_rho_rejects(ctx_f4):
     with pytest.raises(ValueError):
-        rho_u(ctx_f4.element(0), 3)
+        rho_u(ctx_f4, 0, 3)
     with pytest.raises(ValueError):
-        rho_u(ctx_f4.element(2), 2)  # 2 does not divide 3
+        rho_u(ctx_f4, 2, 2)  # 2 does not divide 3
+    for code in (-1, 4):  # outside F_4
+        with pytest.raises(ValueError):
+            rho_u(ctx_f4, code, 3)
+        with pytest.raises(ValueError):
+            tau_a(ctx_f4, code, 0)
 
 
 @pytest.mark.parametrize("name", SMALL_FIELDS)
@@ -205,19 +209,19 @@ def test_tau_matches_trace_indicator(name, request):
         tr = ctx.trace_q(code)
         for a in range(ctx.q):
             want = 1.0 if tr == a else 0.0
-            assert abs(tau_a(ctx.element(code), a) - want) < 1e-6
+            assert abs(tau_a(ctx, code, a) - want) < 1e-6
 
 
 def test_tau_partition_of_unity(ctx_f3_4):
     rng = np.random.default_rng(3)
     for code in rng.integers(0, ctx_f3_4.N, size=10):
-        total = sum(tau_a(ctx_f3_4.element(int(code)), a)
+        total = sum(tau_a(ctx_f3_4, int(code), a)
                     for a in range(ctx_f3_4.q))
         assert abs(total - 1) < 1e-9
 
 
 def test_tau_zero_covers_half_of_f2_6(ctx_f2_6):
-    total = sum(tau_a(ctx_f2_6.element(c), 0) for c in range(ctx_f2_6.N))
+    total = sum(tau_a(ctx_f2_6, c, 0) for c in range(ctx_f2_6.N))
     assert abs(total - 32) < 1e-6
 
 

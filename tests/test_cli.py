@@ -179,6 +179,24 @@ def test_empty_evidence_is_invalid(capsys, argv):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "6", "3", "2"),
+    ("verify", "12", "2", "2"),
+    ("check", "6", "7", "2"),
+    ("sieve", "6", "7", "2"),
+])
+def test_q_not_a_prime_power_is_invalid(capsys, argv):
+    # there is no field F_q unless q is a prime power
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"invalid input: q = {argv[1]} is not a prime power\n"
+
+
+def test_table1_refuses_n_below_one(capsys):
+    code, out, err = run(capsys, "table1", "0")
+    assert (code, out, err) == (3, "", "invalid input: n must be positive\n")
+
+
 def test_crosscheck_ok(capsys):
     code, out, _ = run(capsys, "crosscheck", "3", "1", "2", "12", "--seed", "4")
     blob = json.loads(out)
@@ -228,6 +246,16 @@ def test_unwritable_cache_keeps_output(tmp_path, capsys):
     assert code == 3 and out == "2 3\n"
     assert err == (f"invalid input: cannot save factor cache {tmp_path}: "
                    "Is a directory\n")
+
+
+def test_unwritable_out_is_one_line_and_cache_is_saved(tmp_path, capsys):
+    cache = tmp_path / "factors.json"
+    code, out, err = run(capsys, "--cache", str(cache), "--out",
+                         str(tmp_path), "factor", "6")
+    assert code == 3 and out == ""
+    assert err == (f"invalid input: cannot write output {tmp_path}: "
+                   "Is a directory\n")
+    assert json.loads(cache.read_text()) == {"6": [[2, 1], [3, 1]]}
 
 
 @pytest.mark.parametrize("argv, env", [
