@@ -38,6 +38,14 @@ def tolerance(summands: int) -> float:
     return 1e-6 * max(summands, 1)
 
 
+def _field_code(ctx: FieldCtx, x: int) -> int:
+    """x itself when it is the code of an element of F_{q^m}; the tables
+    are indexed with it, where a negative code would read from the end."""
+    if not 0 <= x < ctx.N:
+        raise ValueError(f"code {x} out of range (N = {ctx.N})")
+    return x
+
+
 def _subfield_code(ctx: FieldCtx, x) -> int:
     if not isinstance(x, int):
         raise TypeError(f"expected F_q element, got {type(x)!r}")
@@ -65,7 +73,7 @@ class MultChar:
         return self.exponent == 0
 
     def value(self, x: int) -> complex:
-        if x == 0:
+        if _field_code(self.ctx, x) == 0:
             return 0j
         e = self.exponent * int(self.ctx.dlog[x]) % self.ctx.order
         return complex(self.ctx.unity_roots()[e])
@@ -104,7 +112,7 @@ class AddChar:
         return complex(self.psi0_t[_subfield_code(self.ctx, x)])
 
     def psihat(self, x: int) -> complex:
-        return complex(self.psihat_t[x])
+        return complex(self.psihat_t[_field_code(self.ctx, x)])
 
 
 _addchar_cache: "WeakKeyDictionary[FieldCtx, AddChar]" = WeakKeyDictionary()
@@ -126,7 +134,7 @@ def rho_u(ctx: FieldCtx, alpha: int, u: int) -> complex:
     sum over square-free d | u of mu(d)/phi(d) * sum over chi of order d of
     chi(alpha)."""
     ctx._need_tables()
-    if not 0 < alpha < ctx.N:
+    if _field_code(ctx, alpha) == 0:
         raise ValueError("rho_u is defined on the multiplicative group")
     if u < 1 or ctx.order % u != 0:
         raise ValueError(f"u = {u} does not divide the group order")
@@ -144,8 +152,7 @@ def tau_a(ctx: FieldCtx, alpha: int, a: int) -> complex:
     """Character-sum indicator of Tr(alpha) = a for the code alpha and the
     F_q code a: averages psi(Tr(alpha) - a) over all q additive characters
     psi of F_q."""
-    if not 0 <= alpha < ctx.N:
-        raise ValueError(f"code {alpha} out of range")
+    alpha = _field_code(ctx, alpha)
     ac = canonical_add_char(ctx)
     a = _subfield_code(ctx, a)
     sub = ctx.subfield

@@ -482,13 +482,14 @@ class FieldCtx:
         scalars, broadcast together).  Odd q: the discriminant c1^2 - 4 c0
         is 0 or has even dlog.  Characteristic 2: c1 = 0, or
         Tr_{F/F_2}(c0 / c1^2) = 0; with inv(0) = 0 the first case is the
-        trace of 0."""
+        trace of 0.  Two Python ints take the scalar mul."""
         self._need_tables()
+        scalar = isinstance(c0, int) and isinstance(c1, int)
+        mul = self.mul if scalar else self.varr_mul
         if self.p == 2:
-            t = self.varr_mul(c0, self.varr_inv(self.varr_mul(c1, c1)))
+            t = mul(c0, self.inv_t[mul(c1, c1)])
             return self.trace_abs_t[self.trace_t[t]] == 0
-        disc = self.add(self.varr_mul(c1, c1),
-                        self.varr_mul((-4) % self.p, c0))
+        disc = self.add(mul(c1, c1), mul((-4) % self.p, c0))
         return (disc == 0) | (self.dlog[disc] % 2 == 0)
 
     # -- serialization

@@ -2,20 +2,23 @@
 
 The bounds layer proves membership in Q_n from inequalities; this layer
 earns it the hard way: enumerate representatives of R_{n1,n2}, walk every
-alpha, and count.  Every count goes through one kernel, _GridCounter: it
-reads the context's dlog tables (an element g^k is r-free exactly when r
-does not divide k) and fills the whole q x q trace-pair grid with one
-bincount.  A scalar pass over alpha fills the same grid for a context
-without tables and is the oracle the kernel is tested against.
-resolve_pair chains the cheap certificates before falling back to
-enumeration, and scan_exceptions regenerates the full list of pairs the main
-condition cannot settle.
+alpha, and count.  Every count goes through one kernel, _GridCounter.grids:
+it works on discrete logs (an element g^k is r-free exactly when r does not
+divide k) and counts a whole block of representatives of one split at once,
+evaluating them at every alpha in one 2-D Horner pass and filling their
+q x q trace-pair grids with one bincount.  A scalar pass over alpha fills
+the same grid for a context without tables and is the oracle the kernel is
+tested against.  resolve_pair chains the cheap certificates before falling
+back to enumeration, which it reads in blocks of about _BLOCK_ALPHAS
+alpha-entries; and scan_exceptions regenerates the full list of pairs the
+main condition cannot settle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .ff import (
 DEFAULT_ALPHA_BUDGET = 1 << 20  # exhaustive alpha-loops up to this field size
 DEFAULT_F_BUDGET = 10 ** 7  # exhaustive f-loops up to this many representatives
 DEFAULT_SAMPLE = 1000
+_BLOCK_ALPHAS = 1 << 15  # alpha-entries a block of representatives spans
 
 CERTIFIED_MAIN = "certified_main"
 CERTIFIED_SIEVE = "certified_sieve"
@@ -162,41 +166,86 @@ def _check_l(ctx: FieldCtx, l: int) -> None:
         raise ValueError(f"l = {l} does not divide the group order")
 
 
-def _free_mask(ctx: FieldCtx, dlogs: np.ndarray, l: int) -> np.ndarray:
-    """l-free mask for elements given by their discrete logs."""
-    mask = np.ones(dlogs.shape, dtype=bool)
-    for p in ctx.group_factors.primes:
-        if l % p == 0:
-            mask &= dlogs % p != 0
-    return mask
+def _free_residues(ctx: FieldCtx, l: int) -> np.ndarray:
+    """True at the discrete logs k = 0..N-2 of the l-free elements g^k: no
+    prime of l divides k."""
+    free = np.ones(ctx.order, dtype=bool)
+    for r in ctx.group_factors.primes:
+        if l % r == 0:
+            free[::r] = False
+    return free
 
 
 class _GridCounter:
-    """The counting kernel.  For one context and one l1 it precomputes the
-    l1-free codes and the trace-pair cell (Tr(alpha), Tr(alpha^-1)) of each,
-    so the work per f is dropping S, evaluating f and one bincount of the
-    cells where f(alpha) is l2-free."""
+    """The counting kernel for one context and one l1.
+
+    It keeps the L l1-free codes alpha, their discrete logs and the
+    trace-pair cell (Tr(alpha), Tr(alpha^-1)) of each.  grids counts a block
+    of B representatives of one split in one pass over a B x L array:
+    Horner's rule evaluates every numerator and denominator at every alpha,
+    a product acc * alpha being one lookup exp[dlog acc + dlog alpha];
+    f(alpha) is l2-free when the residue dlog num - dlog den (mod N-1) is;
+    and one bincount of row * q^2 + cell fills all B grids.
+
+    The code 0 gets the sentinel dlog z = 2(N-1) - 1, one past the largest
+    sum of two discrete logs.  The kernel's exp table is extended with zeros
+    from z on, so a zero accumulator stays zero, and each l2 table is False
+    wherever num or den is the sentinel.  That drops the zeros and poles of
+    f in F, which is S without 0: an irreducible part of degree >= 2 has no
+    root in F, so for a valid f numerator and denominator never vanish
+    together."""
 
     def __init__(self, ctx: FieldCtx, l1: int):
         ctx._need_tables()
         self.ctx = ctx
-        keep = _free_mask(ctx, ctx.dlog, l1)
-        keep[0] = False
-        self.codes = np.flatnonzero(keep).astype(np.int64)
-        self.cell = (ctx.trace_t[self.codes].astype(np.int64) * ctx.q
+        n = ctx.order
+        self._zero = 2 * n - 1
+        self._dlog = ctx.dlog.astype(np.int32)
+        self._dlog[0] = self._zero
+        exp = ctx.exp.astype(np.int32)
+        self._exp = np.concatenate([exp, exp[:n - 1],
+                                    np.zeros(n, dtype=np.int32)])
+        keep = np.zeros(ctx.N, dtype=bool)
+        keep[1:] = _free_residues(ctx, l1)[ctx.dlog[1:]]
+        self.codes = np.flatnonzero(keep)
+        self._dlog_alpha = self._dlog[self.codes]
+        self.cell = (ctx.trace_t[self.codes] * ctx.q
                      + ctx.trace_t[ctx.inv_t[self.codes]])
+        self._l2_tables: dict[int, np.ndarray] = {}
 
-    def grid(self, f: RationalFunction, l2: int) -> np.ndarray:
-        """q x q array of counts indexed by the trace pair (a, b)."""
-        ctx = self.ctx
-        codes, cell = self.codes, self.cell
-        S = [c for c in f.excluded_codes() if c]
-        if S:
-            keep = ~np.isin(codes, np.asarray(S, dtype=np.int64))
-            codes, cell = codes[keep], cell[keep]
-        fmask = _free_mask(ctx, ctx.dlog[f.varr_eval(codes)], l2)
-        return np.bincount(cell[fmask], minlength=ctx.q ** 2).reshape(
-            ctx.q, ctx.q)
+    def _l2_table(self, l2: int) -> np.ndarray:
+        """l2-freeness of f(alpha), indexed by dlog num - dlog den + z: the
+        residues 1, ..., N-2, 0, ..., N-2 between N-1 False entries for
+        den(alpha) = 0 below and N-1 for num(alpha) = 0 above."""
+        table = self._l2_tables.get(l2)
+        if table is None:
+            n = self.ctx.order
+            free = _free_residues(self.ctx, l2)
+            zero = np.zeros(n, dtype=bool)
+            table = np.concatenate([zero, free[1:], free, zero])
+            self._l2_tables[l2] = table
+        return table
+
+    def _horner(self, coeffs: np.ndarray) -> np.ndarray:
+        """Codes of the polynomials in the rows of coeffs (lowest degree
+        first) at every counted alpha; a constant stays one column."""
+        acc = coeffs[:, -1:]
+        for j in range(coeffs.shape[1] - 2, -1, -1):
+            acc = self.ctx.add(self._exp[self._dlog[acc] + self._dlog_alpha],
+                               coeffs[:, j:j + 1])
+        return acc
+
+    def grids(self, fs, l2: int) -> np.ndarray:
+        """B x q x q counts indexed by the trace pair (a, b), one grid per
+        representative of fs; all of fs have the same degrees."""
+        q2 = self.ctx.q ** 2
+        num = self._horner(np.array([f.num for f in fs], dtype=np.int32))
+        den = self._horner(np.array([f.den for f in fs], dtype=np.int32))
+        free = self._l2_table(l2)[self._dlog[num] - self._dlog[den]
+                                  + self._zero]
+        rows = np.arange(len(fs))[:, None] * q2 + self.cell
+        return np.bincount(rows[free], minlength=len(fs) * q2).reshape(
+            len(fs), self.ctx.q, self.ctx.q)
 
 
 def _scalar_grid(f: RationalFunction, l1: int, l2: int) -> list:
@@ -245,7 +294,7 @@ def count_table(f: RationalFunction, l1: int, l2: int, *,
     if ctx.dlog is None:
         grid = _scalar_grid(f, l1, l2)
     else:
-        grid = _GridCounter(ctx, l1).grid(f, l2)
+        grid = _GridCounter(ctx, l1).grids([f], l2)[0]
     counts = tuple(tuple(int(x) for x in row) for row in grid)
     return CountTable(f, l1, l2, counts)
 
@@ -293,13 +342,6 @@ class PairVerdict:
         return out
 
 
-def _first_zero(grid: np.ndarray):
-    hits = np.argwhere(grid == 0)
-    if len(hits):
-        return int(hits[0][0]), int(hits[0][1])
-    return None
-
-
 def resolve_pair(q: int, m: int, n: int, *,
                  alpha_budget: int = DEFAULT_ALPHA_BUDGET,
                  f_budget: int = DEFAULT_F_BUDGET,
@@ -334,6 +376,7 @@ def resolve_pair(q: int, m: int, n: int, *,
                      for n1, n2 in splits_of(n)) <= f_budget
     if not exhaustive and sample_count < 1:
         raise ValueError("sample count must be positive")
+    block = max(1, _BLOCK_ALPHAS // len(counter.codes))
     checked = 0
     for n1, n2 in splits_of(n):
         if exhaustive:
@@ -341,17 +384,21 @@ def resolve_pair(q: int, m: int, n: int, *,
         else:
             stream = enumerate_R(n1, n2, ctx, "sample",
                                  count=sample_count, seed=seed + n1)
-        for f in stream:
-            checked += 1
-            zero = _first_zero(counter.grid(f, ctx.order))
-            if zero is not None:
-                a, b = zero
-                witness = {"f": f.serialize(), "a": a, "b": b,
-                           "split": [n1, n2]}
-                return PairVerdict(
-                    q, m, n, EXCEPTION_WITNESS, witness=witness,
-                    coverage=f"zero cell after {checked} representatives",
-                    seed=None if exhaustive else seed)
+        while fs := list(islice(stream, block)):
+            # (row, a, b) in lexicographic order: the first representative
+            # in stream order with a zero cell, at its first zero cell
+            zeros = np.argwhere(counter.grids(fs, ctx.order) == 0)
+            if not len(zeros):
+                checked += len(fs)
+                continue
+            i, a, b = (int(x) for x in zeros[0])
+            checked += i + 1
+            witness = {"f": fs[i].serialize(), "a": a, "b": b,
+                       "split": [n1, n2]}
+            return PairVerdict(
+                q, m, n, EXCEPTION_WITNESS, witness=witness,
+                coverage=f"zero cell after {checked} representatives",
+                seed=None if exhaustive else seed)
     if exhaustive:
         return PairVerdict(
             q, m, n, VERIFIED_EXHAUSTIVE,

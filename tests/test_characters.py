@@ -202,6 +202,18 @@ def test_rho_rejects(ctx_f4):
             tau_a(ctx_f4, code, 0)
 
 
+def test_characters_refuse_codes_outside_the_field(ctx_f4):
+    # a negative code would index the dlog and trace tables from the end
+    chi = MultChar(ctx_f4, 1)
+    ac = canonical_add_char(ctx_f4)
+    for code in (-1, -4, 4):
+        with pytest.raises(ValueError):
+            chi.value(code)
+        with pytest.raises(ValueError):
+            ac.psihat(code)
+    assert chi.value(0) == 0 and ac.psihat(3) == complex(ac.psihat_t[3])
+
+
 @pytest.mark.parametrize("name", SMALL_FIELDS)
 def test_tau_matches_trace_indicator(name, request):
     ctx = request.getfixturevalue(name)

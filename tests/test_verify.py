@@ -2,11 +2,17 @@
 scalar recount, grid invariants, the resolve_pair pipeline, and the
 character-sum crosscheck."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from primpairs import verify as V
-from primpairs.arith import euler_phi, omega_bounds_qm_minus_1
+from primpairs.arith import (
+    euler_phi,
+    factor_qm_minus_1,
+    omega_bounds_qm_minus_1,
+)
 from primpairs.bounds import main_margin
 from primpairs.characters import count_via_characters
 from primpairs.ff import RationalFunction, build_ctx
@@ -239,8 +245,40 @@ def test_grid_counter_agrees_with_count_table(F9, F64):
             for f in enumerate_R(1, 1, ctx, "sample", count=5, seed=11):
                 for l2 in (1, ctx.order):
                     table = count_table(f, l1, l2)
-                    assert (counter.grid(f, l2).tolist()
+                    assert (counter.grids([f], l2)[0].tolist()
                             == [list(r) for r in table.counts])
+
+
+@pytest.mark.parametrize("pkm", [(2, 1, 4), (2, 2, 2)])
+def test_grids_equal_scalar_oracle_on_all_of_F16(pkm):
+    # every representative of every split of n = 2, in blocks of 97 so
+    # that blocks straddle the scalings c
+    ctx = build_ctx(*pkm)
+    counter = V._GridCounter(ctx, ctx.order)
+    seen = 0
+    for n1, n2 in splits_of(2):
+        stream = enumerate_R(n1, n2, ctx)
+        while fs := list(islice(stream, 97)):
+            for f, grid in zip(fs, counter.grids(fs, ctx.order).tolist()):
+                assert grid == V._scalar_grid(f, ctx.order, ctx.order)
+            seen += len(fs)
+    assert seen == sum(count_R(n1, n2, ctx) for n1, n2 in splits_of(2))
+
+
+@pytest.mark.parametrize("pkm", [(3, 1, 2), (2, 1, 6), (3, 1, 4), (2, 2, 3)])
+def test_grids_equal_scalar_oracle_on_samples(pkm):
+    # F_9, F_64, F_{3^4}, F_{4^3}; l1 and l2 each 1, a prime divisor of
+    # the group order, and the order itself
+    ctx = build_ctx(*pkm)
+    ls = (1, ctx.group_factors.primes[-1], ctx.order)
+    for l1 in ls:
+        counter = V._GridCounter(ctx, l1)
+        for n1, n2 in splits_of(2) + splits_of(1):
+            fs = list(enumerate_R(n1, n2, ctx, "sample", count=6,
+                                  seed=10 * n1 + n2))
+            for l2 in ls:
+                for f, grid in zip(fs, counter.grids(fs, l2).tolist()):
+                    assert grid == V._scalar_grid(f, l1, l2)
 
 
 # -- resolve_pair -----------------------------------------------------------
@@ -273,6 +311,25 @@ def test_resolve_verified_exhaustive():
     assert v.in_Qn is True
     assert "1984" in v.coverage
     assert v.seed is None
+
+
+def test_resolve_exhaustive_gate():
+    # (2,5) for n = 2: every representative, no zero cell
+    v = resolve_pair(2, 5, 2)
+    assert v.status == "verified_exhaustive"
+    assert v.coverage == "all 61504 representatives, all trace pairs"
+
+
+def test_resolve_verdicts_do_not_depend_on_block_size(monkeypatch):
+    # blocks of 1 and of 7 representatives give the default run's
+    # verdict, witness and "zero cell after k representatives"
+    for q, m in ((2, 5), (2, 6), (3, 4), (4, 3), (3, 5)):
+        want = resolve_pair(q, m, 2).serialize()
+        L = euler_phi(factor_qm_minus_1(q, m))  # alpha-entries per row
+        for block in (1, 7):
+            monkeypatch.setattr(V, "_BLOCK_ALPHAS", block * L)
+            assert resolve_pair(q, m, 2).serialize() == want
+        monkeypatch.undo()
 
 
 def test_resolve_exception_witness_is_deterministic():
