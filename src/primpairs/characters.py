@@ -38,14 +38,6 @@ def tolerance(summands: int) -> float:
     return 1e-6 * max(summands, 1)
 
 
-def _field_code(ctx: FieldCtx, x: int) -> int:
-    """x itself when it is the code of an element of F_{q^m}; the tables
-    are indexed with it, where a negative code would read from the end."""
-    if not 0 <= x < ctx.N:
-        raise ValueError(f"code {x} out of range (N = {ctx.N})")
-    return x
-
-
 def _subfield_code(ctx: FieldCtx, x) -> int:
     if not isinstance(x, int):
         raise TypeError(f"expected F_q element, got {type(x)!r}")
@@ -73,7 +65,7 @@ class MultChar:
         return self.exponent == 0
 
     def value(self, x: int) -> complex:
-        if _field_code(self.ctx, x) == 0:
+        if self.ctx.check_code(x) == 0:
             return 0j
         e = self.exponent * int(self.ctx.dlog[x]) % self.ctx.order
         return complex(self.ctx.unity_roots()[e])
@@ -90,9 +82,7 @@ def all_chars_of_order(d: int, ctx: FieldCtx) -> list[MultChar]:
     """The phi(d) multiplicative characters of exact order d, exponents
     j*(q^m-1)/d for j coprime to d, ascending."""
     ctx._need_tables()
-    if d < 1 or ctx.order % d != 0:
-        raise ValueError(f"{d} does not divide the group order {ctx.order}")
-    step = ctx.order // d
+    step = ctx.order // ctx.check_divisor(d)
     return [MultChar(ctx, j * step) for j in range(1, d + 1) if math.gcd(j, d) == 1]
 
 
@@ -112,7 +102,7 @@ class AddChar:
         return complex(self.psi0_t[_subfield_code(self.ctx, x)])
 
     def psihat(self, x: int) -> complex:
-        return complex(self.psihat_t[_field_code(self.ctx, x)])
+        return complex(self.psihat_t[self.ctx.check_code(x)])
 
 
 _addchar_cache: "WeakKeyDictionary[FieldCtx, AddChar]" = WeakKeyDictionary()
@@ -134,11 +124,9 @@ def rho_u(ctx: FieldCtx, alpha: int, u: int) -> complex:
     sum over square-free d | u of mu(d)/phi(d) * sum over chi of order d of
     chi(alpha)."""
     ctx._need_tables()
-    if _field_code(ctx, alpha) == 0:
+    if ctx.check_code(alpha) == 0:
         raise ValueError("rho_u is defined on the multiplicative group")
-    if u < 1 or ctx.order % u != 0:
-        raise ValueError(f"u = {u} does not divide the group order")
-    fu = factor(u)
+    fu = factor(ctx.check_divisor(u))
     total = 0j
     for d in squarefree_divisors(fu):
         coeff = Fraction(moebius(d), euler_phi(d))
@@ -152,7 +140,7 @@ def tau_a(ctx: FieldCtx, alpha: int, a: int) -> complex:
     """Character-sum indicator of Tr(alpha) = a for the code alpha and the
     F_q code a: averages psi(Tr(alpha) - a) over all q additive characters
     psi of F_q."""
-    alpha = _field_code(ctx, alpha)
+    alpha = ctx.check_code(alpha)
     ac = canonical_add_char(ctx)
     a = _subfield_code(ctx, a)
     sub = ctx.subfield
@@ -235,12 +223,9 @@ def count_via_characters(f: RationalFunction, a, b, l1: int, l2: int,
     identity; returns a real number within tolerance of the true integer."""
     ctx = f.ctx
     ctx._need_tables()
-    for l in (l1, l2):
-        if l < 1 or ctx.order % l != 0:
-            raise ValueError(f"l = {l} does not divide the group order")
+    fl1, fl2 = factor(ctx.check_divisor(l1)), factor(ctx.check_divisor(l2))
     if pre is None:
         pre = ChiPrecompute(f)
-    fl1, fl2 = factor(l1), factor(l2)
     total = 0j
     for d1 in squarefree_divisors(fl1):
         c1 = Fraction(moebius(d1), euler_phi(d1))

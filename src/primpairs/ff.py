@@ -373,6 +373,22 @@ class FieldCtx:
         assert acc < self.q, "trace left the base field"
         return acc
 
+    # -- argument checks
+
+    def check_code(self, x: int) -> int:
+        """x itself when it is the code of an element; the tables are
+        indexed with it, where a negative code would read from the end."""
+        if not 0 <= x < self.N:
+            raise ValueError(f"code {x} out of range (N = {self.N})")
+        return x
+
+    def check_divisor(self, u: int) -> int:
+        """u itself when it divides the group order N - 1."""
+        if u < 1 or self.order % u != 0:
+            raise ValueError(
+                f"{u} does not divide the group order {self.order}")
+        return u
+
     # -- primitivity / u-freeness on codes
 
     def is_primitive_code(self, a: int) -> bool:
@@ -381,8 +397,7 @@ class FieldCtx:
     def is_u_free_code(self, a: int, u: int) -> bool:
         if a == 0:
             raise ValueError("0 is not in the multiplicative group")
-        if u < 1 or self.order % u != 0:
-            raise ValueError(f"u = {u} does not divide the group order")
+        self.check_divisor(u)
         return all(self.pow_(a, self.order // r) != 1
                    for r in self.group_factors.primes if u % r == 0)
 
@@ -528,8 +543,8 @@ class RationalFunction:
     __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: FieldCtx, num, den, *, check: bool = True):
-        num = poly_trim(num)
-        den = poly_trim(den)
+        num = poly_trim(ctx.check_code(x) for x in num)
+        den = poly_trim(ctx.check_code(x) for x in den)
         if not num or not den:
             raise ValueError("numerator and denominator must be nonzero")
         if den[-1] != 1:

@@ -2,23 +2,23 @@
 
 The bounds layer proves membership in Q_n from inequalities; this layer
 earns it the hard way: enumerate representatives of R_{n1,n2}, walk every
-alpha, and count.  Every count goes through one kernel, _GridCounter.grids:
-it works on discrete logs (an element g^k is r-free exactly when r does not
-divide k) and counts a whole block of representatives of one split at once,
-evaluating them at every alpha in one 2-D Horner pass and filling their
-q x q trace-pair grids with one bincount.  A scalar pass over alpha fills
-the same grid for a context without tables and is the oracle the kernel is
-tested against.  resolve_pair chains the cheap certificates before falling
-back to enumeration, which it reads in blocks of about _BLOCK_ALPHAS
-alpha-entries; and scan_exceptions regenerates the full list of pairs the
-main condition cannot settle.
+alpha, and count.  A representative c * p/q is a row of coefficient codes
+from enumerate_R, which yields blocks of rows (the monic pairs scaled by
+one c with varr_mul, or a block of seeded draws), to the one counting
+kernel, _GridCounter.grids: it works on discrete logs (g^k is r-free
+exactly when r does not divide k), evaluates a block at every alpha in one
+2-D Horner pass and fills its q x q trace-pair grids with one bincount.  A
+scalar pass over alpha is the path without tables and the kernel's oracle.
+resolve_pair chains the cheap certificates before falling back to
+enumeration, counted in slices of about _BLOCK_ALPHAS alpha-entries; and
+scan_exceptions regenerates the full list of pairs the main condition
+cannot settle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -96,43 +96,44 @@ def count_R(n1: int, n2: int, ctx: FieldCtx) -> int:
     return (ctx.N - 1) * c1 * c2
 
 
-def _monic_irreducibles(degree: int, ctx: FieldCtx):
-    if degree == 0:
-        yield (1,)
-        return
-    yield from find_irreducibles(degree, ctx)
+def _monic_irreducibles(degree: int, ctx: FieldCtx) -> np.ndarray:
+    """Rows of the monic irreducibles of one degree in canonical order;
+    degree 0 has the one polynomial 1."""
+    polys = [(1,)] if degree == 0 else find_irreducibles(degree, ctx)
+    return np.fromiter(polys, dtype=np.dtype((np.int64, degree + 1)))
 
 
-def _scaled(ctx: FieldCtx, c: int, poly: tuple) -> tuple:
-    return tuple(ctx.mul(c, x) for x in poly)
+def enumerate_R(n1: int, n2: int, ctx: FieldCtx, *,
+                count: int | None = None, seed: int | None = None):
+    """Stream of R_{n1,n2} representatives c * p/q as blocks (num, den) of
+    coefficient rows, lowest degree first; the context needs its tables.
 
-
-def enumerate_R(n1: int, n2: int, ctx: FieldCtx, mode: str = "exhaustive",
-                *, count: int | None = None, seed: int | None = None):
-    """Stream of R_{n1,n2} representatives.
-
-    Exhaustive mode walks c, then numerator, then denominator, each in
-    canonical code order.  Sample mode draws `count` representatives from a
-    generator seeded with `seed` (duplicates possible, order reproducible).
+    Without count and seed, every representative: the monic pairs (p, q)
+    in canonical code order, one block per scale c = 1, ..., N-1, so the
+    stream walks c, then numerator, then denominator.  With them, one block
+    of `count` representatives drawn from a generator seeded with `seed`
+    (duplicates possible, order reproducible).
     """
     if n1 == 0 and n2 == 0:
         raise ValueError("degenerate split (0, 0)")
-    if mode == "exhaustive":
+    if (count is None) != (seed is None):
+        raise ValueError("sampling needs both count and seed")
+    if count is None:
+        ps, qs = _monic_irreducibles(n1, ctx), _monic_irreducibles(n2, ctx)
+        p = np.repeat(ps, len(qs), axis=0)
+        q = np.tile(qs, (len(ps), 1))
+        if n1 == n2:
+            keep = (p != q).any(axis=1)
+            p, q = p[keep], q[keep]
         for c in range(1, ctx.N):
-            for p in _monic_irreducibles(n1, ctx):
-                for q in _monic_irreducibles(n2, ctx):
-                    if n1 == n2 and p == q:
-                        continue
-                    yield RationalFunction(ctx, _scaled(ctx, c, p), q,
-                                           check=False)
-    elif mode == "sample":
-        if count is None or seed is None:
-            raise ValueError("sample mode needs count and seed")
-        rng = random.Random(seed)
-        for _ in range(count):
-            yield _draw_representative(n1, n2, ctx, rng)
+            yield ctx.varr_mul(c, p), q
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        rng = random.Random(seed)
+        draws = (_draw_representative(n1, n2, ctx, rng) for _ in range(count))
+        rows = np.fromiter(((c, *p, *q) for c, p, q in draws), count=count,
+                           dtype=np.dtype((np.int64, n1 + n2 + 3)))
+        c, p, q = np.split(rows, [1, n1 + 2], axis=1)
+        yield ctx.varr_mul(c, p), q
 
 
 def _draw_irreducible(degree: int, ctx: FieldCtx, rng: random.Random) -> tuple:
@@ -148,23 +149,19 @@ def _draw_irreducible(degree: int, ctx: FieldCtx, rng: random.Random) -> tuple:
 
 
 def _draw_representative(n1: int, n2: int, ctx: FieldCtx,
-                         rng: random.Random) -> RationalFunction:
+                         rng: random.Random) -> tuple:
+    """(c, p, q): a scale and two distinct monic irreducibles."""
     c = rng.randrange(1, ctx.N)
     p = _draw_irreducible(n1, ctx, rng)
     while True:
         q = _draw_irreducible(n2, ctx, rng)
         if not (n1 == n2 and p == q):
             break
-    return RationalFunction(ctx, _scaled(ctx, c, p), q, check=False)
+    return c, p, q
 
 
 # ---------------------------------------------------------------------------
 # counting
-
-def _check_l(ctx: FieldCtx, l: int) -> None:
-    if l < 1 or ctx.order % l != 0:
-        raise ValueError(f"l = {l} does not divide the group order")
-
 
 def _free_residues(ctx: FieldCtx, l: int) -> np.ndarray:
     """True at the discrete logs k = 0..N-2 of the l-free elements g^k: no
@@ -235,17 +232,17 @@ class _GridCounter:
                                coeffs[:, j:j + 1])
         return acc
 
-    def grids(self, fs, l2: int) -> np.ndarray:
+    def grids(self, num, den, l2: int) -> np.ndarray:
         """B x q x q counts indexed by the trace pair (a, b), one grid per
-        representative of fs; all of fs have the same degrees."""
-        q2 = self.ctx.q ** 2
-        num = self._horner(np.array([f.num for f in fs], dtype=np.int32))
-        den = self._horner(np.array([f.den for f in fs], dtype=np.int32))
+        representative: row i of num and den holds the coefficients of its
+        numerator and denominator, lowest degree first."""
+        q, b = self.ctx.q, len(num)
+        num = self._horner(np.asarray(num, dtype=np.int32))
+        den = self._horner(np.asarray(den, dtype=np.int32))
         free = self._l2_table(l2)[self._dlog[num] - self._dlog[den]
                                   + self._zero]
-        rows = np.arange(len(fs))[:, None] * q2 + self.cell
-        return np.bincount(rows[free], minlength=len(fs) * q2).reshape(
-            len(fs), self.ctx.q, self.ctx.q)
+        rows = np.arange(b)[:, None] * q * q + self.cell
+        return np.bincount(rows[free], minlength=b * q * q).reshape(b, q, q)
 
 
 def _scalar_grid(f: RationalFunction, l1: int, l2: int) -> list:
@@ -289,12 +286,12 @@ def count_table(f: RationalFunction, l1: int, l2: int, *,
     if ctx.N > budget:
         raise EnumerationBudgetExceeded(
             f"field size {ctx.N} exceeds alpha budget {budget}")
-    _check_l(ctx, l1)
-    _check_l(ctx, l2)
+    ctx.check_divisor(l1)
+    ctx.check_divisor(l2)
     if ctx.dlog is None:
         grid = _scalar_grid(f, l1, l2)
     else:
-        grid = _GridCounter(ctx, l1).grids([f], l2)[0]
+        grid = _GridCounter(ctx, l1).grids([f.num], [f.den], l2)[0]
     counts = tuple(tuple(int(x) for x in row) for row in grid)
     return CountTable(f, l1, l2, counts)
 
@@ -379,26 +376,29 @@ def resolve_pair(q: int, m: int, n: int, *,
     block = max(1, _BLOCK_ALPHAS // len(counter.codes))
     checked = 0
     for n1, n2 in splits_of(n):
-        if exhaustive:
-            stream = enumerate_R(n1, n2, ctx)
-        else:
-            stream = enumerate_R(n1, n2, ctx, "sample",
-                                 count=sample_count, seed=seed + n1)
-        while fs := list(islice(stream, block)):
-            # (row, a, b) in lexicographic order: the first representative
-            # in stream order with a zero cell, at its first zero cell
-            zeros = np.argwhere(counter.grids(fs, ctx.order) == 0)
-            if not len(zeros):
-                checked += len(fs)
-                continue
-            i, a, b = (int(x) for x in zeros[0])
-            checked += i + 1
-            witness = {"f": fs[i].serialize(), "a": a, "b": b,
-                       "split": [n1, n2]}
-            return PairVerdict(
-                q, m, n, EXCEPTION_WITNESS, witness=witness,
-                coverage=f"zero cell after {checked} representatives",
-                seed=None if exhaustive else seed)
+        stream = (enumerate_R(n1, n2, ctx) if exhaustive else
+                  enumerate_R(n1, n2, ctx, count=sample_count,
+                              seed=seed + n1))
+        for nums, dens in stream:
+            for lo in range(0, len(nums), block):
+                num, den = nums[lo:lo + block], dens[lo:lo + block]
+                # (row, a, b) in lexicographic order: the first
+                # representative in stream order with a zero cell, at its
+                # first zero cell
+                zeros = np.argwhere(counter.grids(num, den, ctx.order) == 0)
+                if not len(zeros):
+                    checked += len(num)
+                    continue
+                i, a, b = (int(x) for x in zeros[0])
+                checked += i + 1
+                f = RationalFunction(ctx, num[i].tolist(), den[i].tolist(),
+                                     check=False)
+                witness = {"f": f.serialize(), "a": a, "b": b,
+                           "split": [n1, n2]}
+                return PairVerdict(
+                    q, m, n, EXCEPTION_WITNESS, witness=witness,
+                    coverage=f"zero cell after {checked} representatives",
+                    seed=None if exhaustive else seed)
     if exhaustive:
         return PairVerdict(
             q, m, n, VERIFIED_EXHAUSTIVE,
@@ -443,7 +443,8 @@ def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int) -> CrosscheckRepo
     pres: dict[RationalFunction, ChiPrecompute] = {}
     for _ in range(trials):
         n1, n2 = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
-        f = _draw_representative(n1, n2, ctx, rng)
+        c, p, q = _draw_representative(n1, n2, ctx, rng)
+        f = RationalFunction(ctx, [ctx.mul(c, x) for x in p], q, check=False)
         if f not in pres:
             pres[f] = ChiPrecompute(f)
         a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
@@ -471,8 +472,7 @@ class ScanRecord:
 
 
 def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
-                    budget: int = DEFAULT_FACTOR_BUDGET,
-                    progress=None) -> list[ScanRecord]:
+                    budget: int = DEFAULT_FACTOR_BUDGET) -> list[ScanRecord]:
     """Every prime power under the threshold cascade whose exact main
     condition fails, ordered by (m, q).  Each of these pairs must then be
     settled by certificate_search or brute force.
@@ -483,9 +483,7 @@ def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
     equality.  Only a pair whose bracket straddles margin 0 is factored in
     full (Pollard rho); equality is read only from an exact W."""
     out = []
-    cascade = threshold_cascade(n)
-    for m in sorted(cascade):
-        qmax = cascade[m]
+    for m, qmax in sorted(threshold_cascade(n).items()):
         for q in prime_powers_upto(qmax):
             lo, hi = omega_bounds_qm_minus_1(q, m, cache=cache)
             margin = main_margin(q, m, n, 1 << hi)
@@ -498,6 +496,4 @@ def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
                                          squarefree_divisor_count(group))
             if margin <= 0:
                 out.append(ScanRecord(q, m, margin == 0))
-        if progress is not None:
-            progress(m, qmax, len(out))
     return out

@@ -205,7 +205,9 @@ def test_criterion_6_character_sum_bound(ctx_f4, ctx_f8, ctx_f9, ctx_f3_4,
         draws = 0
         while draws < 100:
             n1, n2 = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
-            f = _draw_representative(n1, n2, ctx, rng)
+            c, num, den = _draw_representative(n1, n2, ctx, rng)
+            f = RationalFunction(ctx, [ctx.mul(c, x) for x in num], den,
+                                 check=False)
             pre = ChiPrecompute(f)
             cap = chi_fab_bound(f)
             for _ in range(5):

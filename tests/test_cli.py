@@ -138,6 +138,15 @@ def test_verify_deterministic(capsys):
     assert a == b
 
 
+def test_verify_prints_the_witness_as_json_ints(capsys):
+    code, out, _ = run(capsys, "verify", "2", "6", "2")
+    assert code == 0
+    assert '"f": {"den": [1], "num": [1, 3, 1]}' in out
+    witness = json.loads(out)["verdict"]["witness"]
+    assert witness == {"f": {"num": [1, 3, 1], "den": [1]}, "a": 0, "b": 0,
+                       "split": [2, 0]}
+
+
 def test_verify_beyond_dlog_table_limit_is_undecided(capsys):
     code, out, err = run(capsys, "--budget-enum", "33554432",
                          "verify", "64", "4", "2")

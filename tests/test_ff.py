@@ -329,6 +329,25 @@ def test_rational_function_validation(ctx_f4):
         RationalFunction(c, (2,), (1,))
 
 
+@pytest.mark.parametrize("num", [(-1, 1), (16, 1), (0, 1, -3)])
+def test_rational_function_refuses_codes_outside_the_field(num):
+    # a negative code would read a table from the end and 16 past it
+    # (F_16 has codes 0..15); both must be refused, with or without check
+    c = build_ctx(2, 1, 4)
+    for check in (True, False):
+        with pytest.raises(ValueError, match="out of range"):
+            RationalFunction(c, num, (1,), check=check)
+        with pytest.raises(ValueError, match="out of range"):
+            RationalFunction(c, (1,), tuple(reversed(num)), check=check)
+
+
+def test_check_divisor(ctx_f3_4):
+    assert ctx_f3_4.check_divisor(16) == 16
+    for u in (0, -80, 7, 160):
+        with pytest.raises(ValueError, match="does not divide"):
+            ctx_f3_4.check_divisor(u)
+
+
 def test_eval_rational_identity(ctx_f4):
     c = ctx_f4
     f = RationalFunction(c, (0, 1), (1,))

@@ -2,8 +2,6 @@
 scalar recount, grid invariants, the resolve_pair pipeline, and the
 character-sum crosscheck."""
 
-from itertools import islice
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from primpairs.arith import (
 )
 from primpairs.bounds import main_margin
 from primpairs.characters import count_via_characters
-from primpairs.ff import RationalFunction, build_ctx
+from primpairs.ff import RationalFunction, build_ctx, find_irreducibles
 from primpairs.refdata import load_certificate_rows
 from primpairs.verify import (
     CountTable,
@@ -28,6 +26,12 @@ from primpairs.verify import (
     resolve_pair,
     splits_of,
 )
+
+
+def functions(ctx, stream):
+    """The rows of an enumerate_R stream as RationalFunctions, in order."""
+    return [RationalFunction(ctx, n.tolist(), d.tolist(), check=False)
+            for num, den in stream for n, d in zip(num, den)]
 
 
 @pytest.fixture(scope="module")
@@ -81,13 +85,30 @@ def test_count_R_over_F4(F4):
 
 def test_enumerate_exhaustive_counts_match(F4):
     for n1, n2 in [(1, 1), (2, 0), (0, 2)]:
-        reps = list(enumerate_R(n1, n2, F4))
+        reps = functions(F4, enumerate_R(n1, n2, F4))
         assert len(reps) == count_R(n1, n2, F4)
         assert len({(f.num, f.den) for f in reps}) == len(reps)
 
 
+@pytest.mark.parametrize("pkm", [(2, 1, 4), (2, 2, 2), (3, 1, 2)])
+def test_enumerate_rows_equal_nested_scalar_enumeration(pkm):
+    # F_16 over F_2 and over F_4, and F_9: the blocks, read in order, are
+    # the loops over c, then p, then q, scaled with the scalar mul
+    ctx = build_ctx(*pkm)
+    for n1, n2 in splits_of(2):
+        ps = [(1,)] if n1 == 0 else list(find_irreducibles(n1, ctx))
+        qs = [(1,)] if n2 == 0 else list(find_irreducibles(n2, ctx))
+        want = [(tuple(ctx.mul(c, x) for x in p), q)
+                for c in range(1, ctx.N) for p in ps for q in qs
+                if not (n1 == n2 and p == q)]
+        got = [(tuple(n), tuple(d)) for num, den in enumerate_R(n1, n2, ctx)
+               for n, d in zip(num.tolist(), den.tolist())]
+        assert got == want
+        assert len(got) == count_R(n1, n2, ctx)
+
+
 def test_enumerate_order_is_canonical(F4):
-    reps = list(enumerate_R(1, 1, F4))
+    reps = functions(F4, enumerate_R(1, 1, F4))
     assert reps[0].label() == "(x)/(x + 1)"
     assert reps[-1].label() == "(3*x + 2)/(x + 2)"
     # scale is the outermost loop
@@ -96,9 +117,9 @@ def test_enumerate_order_is_canonical(F4):
 
 
 def test_enumerate_representatives_validate(F4):
-    for f in enumerate_R(1, 1, F4):
+    for f in functions(F4, enumerate_R(1, 1, F4)):
         RationalFunction(F4, f.num, f.den)  # check=True must not raise
-    for f in enumerate_R(2, 0, F4):
+    for f in functions(F4, enumerate_R(2, 0, F4)):
         RationalFunction(F4, f.num, f.den)
 
 
@@ -106,15 +127,12 @@ def test_enumerate_rejects(F4):
     with pytest.raises(ValueError):
         next(enumerate_R(0, 0, F4))
     with pytest.raises(ValueError):
-        next(enumerate_R(1, 1, F4, "shuffle"))
-    with pytest.raises(ValueError):
-        next(enumerate_R(1, 1, F4, "sample"))  # count and seed missing
+        next(enumerate_R(1, 1, F4, count=5))  # seed missing
 
 
 def test_sampling_is_reproducible(F9):
-    a = [f.serialize() for f in enumerate_R(1, 1, F9, "sample", count=30, seed=1)]
-    b = [f.serialize() for f in enumerate_R(1, 1, F9, "sample", count=30, seed=1)]
-    c = [f.serialize() for f in enumerate_R(1, 1, F9, "sample", count=30, seed=2)]
+    a, b, c = ([f.serialize() for f in functions(
+        F9, enumerate_R(1, 1, F9, count=30, seed=seed))] for seed in (1, 1, 2))
     assert a == b
     assert a != c
     assert len(a) == 30
@@ -122,7 +140,7 @@ def test_sampling_is_reproducible(F9):
 
 def test_sampled_representatives_validate(F64):
     for n1, n2 in [(1, 1), (2, 0), (0, 2)]:
-        for f in enumerate_R(n1, n2, F64, "sample", count=10, seed=5):
+        for f in functions(F64, enumerate_R(n1, n2, F64, count=10, seed=5)):
             assert f.degrees == (n1, n2)
             RationalFunction(F64, f.num, f.den)
 
@@ -145,7 +163,7 @@ def test_vector_path_equals_scalar_path(F9, F64, F64_over_F4):
     for ctx in (F9, F64, F64_over_F4):
         divs = [d for d in range(1, ctx.N) if ctx.order % d == 0]
         for n1, n2 in ((1, 1), (2, 0), (0, 2)):
-            f, = enumerate_R(n1, n2, ctx, "sample", count=1, seed=n1)
+            f, = functions(ctx, enumerate_R(n1, n2, ctx, count=1, seed=n1))
             for l1 in divs:
                 for l2 in divs:
                     assert (count_table(f, l1, l2).counts
@@ -242,10 +260,11 @@ def test_grid_counter_agrees_with_count_table(F9, F64):
     for ctx in (F9, F64):
         for l1 in (1, ctx.order):
             counter = V._GridCounter(ctx, l1)
-            for f in enumerate_R(1, 1, ctx, "sample", count=5, seed=11):
+            for f in functions(ctx, enumerate_R(1, 1, ctx, count=5,
+                                                seed=11)):
                 for l2 in (1, ctx.order):
                     table = count_table(f, l1, l2)
-                    assert (counter.grids([f], l2)[0].tolist()
+                    assert (counter.grids([f.num], [f.den], l2)[0].tolist()
                             == [list(r) for r in table.counts])
 
 
@@ -257,11 +276,14 @@ def test_grids_equal_scalar_oracle_on_all_of_F16(pkm):
     counter = V._GridCounter(ctx, ctx.order)
     seen = 0
     for n1, n2 in splits_of(2):
-        stream = enumerate_R(n1, n2, ctx)
-        while fs := list(islice(stream, 97)):
-            for f, grid in zip(fs, counter.grids(fs, ctx.order).tolist()):
+        nums, dens = map(np.concatenate, zip(*enumerate_R(n1, n2, ctx)))
+        fs = functions(ctx, [(nums, dens)])
+        for lo in range(0, len(fs), 97):
+            grids = counter.grids(nums[lo:lo + 97], dens[lo:lo + 97],
+                                  ctx.order)
+            for f, grid in zip(fs[lo:lo + 97], grids.tolist()):
                 assert grid == V._scalar_grid(f, ctx.order, ctx.order)
-            seen += len(fs)
+        seen += len(fs)
     assert seen == sum(count_R(n1, n2, ctx) for n1, n2 in splits_of(2))
 
 
@@ -274,10 +296,11 @@ def test_grids_equal_scalar_oracle_on_samples(pkm):
     for l1 in ls:
         counter = V._GridCounter(ctx, l1)
         for n1, n2 in splits_of(2) + splits_of(1):
-            fs = list(enumerate_R(n1, n2, ctx, "sample", count=6,
-                                  seed=10 * n1 + n2))
+            (num, den), = enumerate_R(n1, n2, ctx, count=6,
+                                      seed=10 * n1 + n2)
+            fs = functions(ctx, [(num, den)])
             for l2 in ls:
-                for f, grid in zip(fs, counter.grids(fs, l2).tolist()):
+                for f, grid in zip(fs, counter.grids(num, den, l2).tolist()):
                     assert grid == V._scalar_grid(f, l1, l2)
 
 
@@ -417,7 +440,7 @@ def test_crosscheck_needs_tables():
 def test_trace_only_crosscheck_is_near_exact(F81):
     # with l1 = l2 = 1 no multiplicative characters remain and the identity
     # is numerically tight
-    for f in enumerate_R(1, 1, F81, "sample", count=3, seed=8):
+    for f in functions(F81, enumerate_R(1, 1, F81, count=3, seed=8)):
         for a, b in ((0, 0), (1, 2), (2, 1)):
             approx = count_via_characters(f, a, b, 1, 1)
             exact = brute_force_count(f, a, b, 1, 1)
@@ -425,7 +448,7 @@ def test_trace_only_crosscheck_is_near_exact(F81):
 
 
 def test_brute_force_agrees_with_characters_on_F81(F81):
-    for f in enumerate_R(1, 1, F81, "sample", count=3, seed=2):
+    for f in functions(F81, enumerate_R(1, 1, F81, count=3, seed=2)):
         for a, b in ((0, 0), (2, 1)):
             approx = count_via_characters(f, a, b, 80, 80)
             exact = brute_force_count(f, a, b, 80, 80)
