@@ -5,10 +5,11 @@ Multiplicative characters of F_{q^m}^* are powers of a fixed generator
 character: chi with exponent e maps x to exp(2 pi i * e * dlog(x) / (q^m-1)).
 The canonical additive character of F_q is psi0(x) = exp(2 pi i * tr(x) / p)
 with tr the absolute trace to F_p; its lift to F_{q^m} composes with the
-relative trace.  These need the context's dlog table, so every operation
-here refuses fields built without one.  Elements are the context's integer
-codes: the indicators rho_u(ctx, alpha, u) and tau_a(ctx, alpha, a) take
-the context and the code of alpha.
+relative trace.  These index the context's dlog and trace tables, which
+every context carries.  Elements are the context's integer codes, each
+range-checked by the check_code of its level of the tower: the indicators
+rho_u(ctx, alpha, u) and tau_a(ctx, alpha, a) take the context and the code
+of alpha.
 
 The headline operation is the exact-count identity: the number of alpha with
 alpha l1-free, f(alpha) l2-free, and both traces prescribed equals
@@ -38,21 +39,12 @@ def tolerance(summands: int) -> float:
     return 1e-6 * max(summands, 1)
 
 
-def _subfield_code(ctx: FieldCtx, x) -> int:
-    if not isinstance(x, int):
-        raise TypeError(f"expected F_q element, got {type(x)!r}")
-    if not 0 <= x < ctx.q:
-        raise ValueError(f"{x} is not an F_q code (q = {ctx.q})")
-    return x
-
-
 class MultChar:
     """x -> exp(2 pi i * exponent * dlog(x) / (q^m - 1)); zero at x = 0."""
 
     __slots__ = ("ctx", "exponent")
 
     def __init__(self, ctx: FieldCtx, exponent: int):
-        ctx._need_tables()
         self.ctx = ctx
         self.exponent = exponent % ctx.order
 
@@ -81,7 +73,6 @@ class MultChar:
 def all_chars_of_order(d: int, ctx: FieldCtx) -> list[MultChar]:
     """The phi(d) multiplicative characters of exact order d, exponents
     j*(q^m-1)/d for j coprime to d, ascending."""
-    ctx._need_tables()
     step = ctx.order // ctx.check_divisor(d)
     return [MultChar(ctx, j * step) for j in range(1, d + 1) if math.gcd(j, d) == 1]
 
@@ -93,13 +84,12 @@ class AddChar:
     __slots__ = ("ctx", "psi0_t", "psihat_t")
 
     def __init__(self, ctx: FieldCtx):
-        ctx._need_tables()
         self.ctx = ctx
         self.psi0_t = np.exp(2j * np.pi * ctx.trace_abs_t / ctx.p)
         self.psihat_t = self.psi0_t[ctx.trace_t]
 
     def psi0(self, x) -> complex:
-        return complex(self.psi0_t[_subfield_code(self.ctx, x)])
+        return complex(self.psi0_t[self.ctx.subfield.check_code(x)])
 
     def psihat(self, x: int) -> complex:
         return complex(self.psihat_t[self.ctx.check_code(x)])
@@ -123,7 +113,6 @@ def rho_u(ctx: FieldCtx, alpha: int, u: int) -> complex:
     """Character-sum indicator of u-freeness of the code alpha: theta(u) *
     sum over square-free d | u of mu(d)/phi(d) * sum over chi of order d of
     chi(alpha)."""
-    ctx._need_tables()
     if ctx.check_code(alpha) == 0:
         raise ValueError("rho_u is defined on the multiplicative group")
     fu = factor(ctx.check_divisor(u))
@@ -142,8 +131,8 @@ def tau_a(ctx: FieldCtx, alpha: int, a: int) -> complex:
     psi of F_q."""
     alpha = ctx.check_code(alpha)
     ac = canonical_add_char(ctx)
-    a = _subfield_code(ctx, a)
     sub = ctx.subfield
+    a = sub.check_code(a)
     diff = sub.sub(ctx.trace_q(alpha), a)
     total = sum(ac.psi0(sub.mul(u, diff)) for u in range(ctx.q))
     return total / ctx.q
@@ -161,7 +150,6 @@ class ChiPrecompute:
 
     def __init__(self, f: RationalFunction):
         ctx = f.ctx
-        ctx._need_tables()
         excluded = np.zeros(ctx.N, dtype=bool)
         excluded[list(f.excluded_codes())] = True
         alphas = np.flatnonzero(~excluded).astype(np.int64)
@@ -194,9 +182,8 @@ def chi_fab(f: RationalFunction, a, b, chi1: MultChar, chi2: MultChar,
     ctx = f.ctx
     if pre is None:
         pre = ChiPrecompute(f)
-    a = _subfield_code(ctx, a)
-    b = _subfield_code(ctx, b)
     sub = ctx.subfield
+    a, b = sub.check_code(a), sub.check_code(b)
     ac = canonical_add_char(ctx)
     unity = ctx.unity_roots()
     w = unity[(chi1.exponent * pre.dl_alpha + chi2.exponent * pre.dl_f) % ctx.order]
@@ -222,7 +209,6 @@ def count_via_characters(f: RationalFunction, a, b, l1: int, l2: int,
     """Exact count N_{f,a,b}(l1, l2) evaluated through the character
     identity; returns a real number within tolerance of the true integer."""
     ctx = f.ctx
-    ctx._need_tables()
     fl1, fl2 = factor(ctx.check_divisor(l1)), factor(ctx.check_divisor(l2))
     if pre is None:
         pre = ChiPrecompute(f)

@@ -35,7 +35,7 @@ from .bounds import (
     main_margin,
     worst_case_row,
 )
-from .ff import DLOG_LIMIT, build_ctx
+from .ff import build_ctx
 from .refdata import bound_window, load_certificate_rows
 from .verify import (
     DEFAULT_ALPHA_BUDGET,
@@ -163,13 +163,6 @@ def cmd_verify(args) -> list:
 
 
 def cmd_crosscheck(args) -> list:
-    # for p >= 2 an exponent past the limit's bit length already exceeds
-    # the limit; test it first, since p ** exponent may not fit in memory
-    exponent = args.k * args.m
-    if exponent > DLOG_LIMIT.bit_length() or args.p ** exponent > DLOG_LIMIT:
-        raise EnumerationBudgetExceeded(
-            f"field size {args.p}^{exponent} beyond dlog table limit "
-            f"{DLOG_LIMIT}")
     ctx = build_ctx(args.p, args.k, args.m, cache=args.cache,
                     factor_budget=args.budget_factor)
     report = crosscheck_identity(ctx, args.trials, args.seed)

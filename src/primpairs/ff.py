@@ -15,19 +15,21 @@ are ordered by the integer formed from their coefficient tuple
 compared first.  The generator is the code-smallest primitive element.  Both
 choices make contexts reproducible across runs and machines.
 
-Fields with at most `dlog_limit` elements additionally carry numpy tables
-(powers of the generator, discrete logs, Frobenius, trace, inverses) that the
-character-sum and brute-force layers index directly.  There is no digit
-table.
+Every field has at most DLOG_LIMIT elements and carries numpy tables (powers
+of the generator, discrete logs, Frobenius, trace, inverses) that the
+character-sum and brute-force layers index directly; a larger field is
+refused at construction.  There is no digit table.
 
-With tables, a monic quadratic x^2 + c1 x + c0 is irreducible exactly when it
-has no root (Lidl-Niederreiter, Finite Fields, ch. 3): for odd q when its
-discriminant c1^2 - 4 c0 is a nonsquare, i.e. has odd dlog; in characteristic
-2 when c1 != 0 and Tr_{F/F_2}(c0 / c1^2) = 1 (Artin-Schreier, after the
-substitution x = c1 y).  No table of quadratics is kept.
+A monic quadratic x^2 + c1 x + c0 is irreducible exactly when it has no root
+(Lidl-Niederreiter, Finite Fields, ch. 3): for odd q when its discriminant
+c1^2 - 4 c0 is a nonsquare, i.e. has odd dlog; in characteristic 2 when
+c1 != 0 and Tr_{F/F_2}(c0 / c1^2) = 1 (Artin-Schreier, after the substitution
+x = c1 y).  No table of quadratics is kept.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -40,6 +42,11 @@ from .arith import (
 )
 
 DLOG_LIMIT = 1 << 22
+
+
+class EnumerationBudgetExceeded(RuntimeError):
+    """The field (or the representative count) is too large for the
+    requested exhaustive work."""
 
 
 class _PoleType:
@@ -205,9 +212,27 @@ def first_irreducible(F, d: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the prime field, the base of every tower
+# the code check of every level, and the prime field, the base of the tower
 
-class _PrimeField:
+class _CodeField:
+    """What every level of the tower shares: its elements are the codes
+    0, ..., card - 1."""
+
+    card: int
+
+    def check_code(self, x) -> int:
+        """x as an int when it is the code of an element; the tables are
+        indexed with it, where a negative code would read from the end."""
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise ValueError(f"code {x!r} is not an integer") from None
+        if not 0 <= x < self.card:
+            raise ValueError(f"code {x} out of range (N = {self.card})")
+        return x
+
+
+class _PrimeField(_CodeField):
     """F_p with codes 0..p-1."""
 
     def __init__(self, p: int):
@@ -238,25 +263,30 @@ class _PrimeField:
 # ---------------------------------------------------------------------------
 # the big field
 
-class FieldCtx:
-    """F_{q^m} = F_q[y]/(defining_poly), q = p^k.
+class FieldCtx(_CodeField):
+    """F_{q^m} = F_q[y]/(defining_poly), q = p^k, with at most DLOG_LIMIT
+    elements and always its tables.
 
     The subfield F_q is _PrimeField(p) when k = 1 and FieldCtx(p, 1, k)
     otherwise, so the same class builds every level of the tower.
 
     add/sub/neg work on integer codes and numpy code arrays alike, with no
-    table.  The other code-level methods (mul/inv/pow_, frobenius, trace_q)
-    take integer codes and are table-backed when the field is small enough;
-    varr_mul and varr_inv operate on numpy code arrays and require the
-    tables.
+    table.  mul/inv/pow_ and trace_q take integer codes, varr_mul and
+    varr_inv numpy code arrays; all of them read the tables.
     """
 
-    def __init__(self, p: int, k: int, m: int, *, dlog_limit: int = DLOG_LIMIT,
-                 cache=None, factor_budget: int = DEFAULT_FACTOR_BUDGET):
-        if not is_probable_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+    def __init__(self, p: int, k: int, m: int, *, cache=None,
+                 factor_budget: int = DEFAULT_FACTOR_BUDGET):
         if k < 1 or m < 1:
             raise ValueError("k and m must be positive")
+        # for p >= 2 an exponent past the limit's bit length already exceeds
+        # the limit; test it first, since p ** (k m) may not fit in memory
+        km = k * m
+        if km > DLOG_LIMIT.bit_length() or p ** km > DLOG_LIMIT:
+            raise EnumerationBudgetExceeded(
+                f"field size {p}^{km} beyond dlog table limit {DLOG_LIMIT}")
+        if not is_probable_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.k = k
         self.m = m
@@ -267,23 +297,14 @@ class FieldCtx:
         if k == 1:
             self.subfield = _PrimeField(p)
         else:
-            self.subfield = FieldCtx(p, 1, k, dlog_limit=dlog_limit,
-                                     cache=cache, factor_budget=factor_budget)
+            self.subfield = FieldCtx(p, 1, k, cache=cache,
+                                     factor_budget=factor_budget)
         self.poly = first_irreducible(self.subfield, m)
         self.group_factors: FactoredInteger = factor_qm_minus_1(
             self.q, m, cache=cache, budget=factor_budget)
-
-        self.exp = None
-        self.dlog = None
-        self.frob_t = None
-        self.trace_t = None
-        self.inv_t = None
-        self.trace_abs_t = None
         self._unity = None
-
-        self.generator = self._find_generator_scalar()
-        if self.N <= dlog_limit:
-            self._build_tables()
+        self.generator = self._find_generator()
+        self._build_tables()
 
     # -- code <-> coefficient vectors over F_q
 
@@ -327,60 +348,26 @@ class FieldCtx:
         return self.encode(poly_mod(F, prod, self.poly)) if prod else 0
 
     def mul(self, a: int, b: int) -> int:
-        if self.dlog is not None:
-            if a == 0 or b == 0:
-                return 0
-            e = (int(self.dlog[a]) + int(self.dlog[b])) % self.order
-            return int(self.exp[e])
-        return self._mul_poly(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return int(self.exp[(int(self.dlog[a]) + int(self.dlog[b]))
+                            % self.order])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.inv_t is not None:
-            return int(self.inv_t[a])
-        return self.pow_(a, self.order - 1)
+        return int(self.inv_t[a])
 
     def pow_(self, a: int, e: int) -> int:
         if a == 0:
-            if e == 0:
-                return 1
-            return 0
-        e %= self.order
-        if self.dlog is not None:
-            return int(self.exp[int(self.dlog[a]) * e % self.order])
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
-
-    def frobenius(self, a: int) -> int:
-        if self.frob_t is not None:
-            return int(self.frob_t[a])
-        return self.pow_(a, self.q)
+            return 1 if e == 0 else 0
+        return int(self.exp[int(self.dlog[a]) * e % self.order])
 
     def trace_q(self, a: int) -> int:
         """Tr_{F_{q^m}/F_q} as a code < q."""
-        if self.trace_t is not None:
-            return int(self.trace_t[a])
-        acc = a
-        for _ in range(self.m - 1):
-            a = self.frobenius(a)
-            acc = self.add(acc, a)
-        assert acc < self.q, "trace left the base field"
-        return acc
+        return int(self.trace_t[a])
 
     # -- argument checks
-
-    def check_code(self, x: int) -> int:
-        """x itself when it is the code of an element; the tables are
-        indexed with it, where a negative code would read from the end."""
-        if not 0 <= x < self.N:
-            raise ValueError(f"code {x} out of range (N = {self.N})")
-        return x
 
     def check_divisor(self, u: int) -> int:
         """u itself when it divides the group order N - 1."""
@@ -403,13 +390,26 @@ class FieldCtx:
 
     # -- construction internals
 
-    def _find_generator_scalar(self) -> int:
+    def _pow_poly(self, a: int, e: int) -> int:
+        """a^e for e >= 0 by square-and-multiply over the defining
+        polynomial, before the tables exist."""
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_poly(out, a)
+            a = self._mul_poly(a, a)
+            e >>= 1
+        return out
+
+    def _find_generator(self) -> int:
         if self.order == 1:
             return 1
         # codes < q are F_q constants with order dividing q-1; they can only
         # generate when m == 1
         start = 2 if self.m == 1 else self.q
-        return next(c for c in range(start, self.N) if self.is_primitive_code(c))
+        return next(c for c in range(start, self.N)
+                    if all(self._pow_poly(c, self.order // r) != 1
+                           for r in self.group_factors.primes))
 
     def _build_tables(self):
         N, p, km = self.N, self.p, self.k * self.m
@@ -467,20 +467,13 @@ class FieldCtx:
         else:
             self.trace_abs_t = self.subfield.trace_t
 
-    # -- array arithmetic (requires tables)
-
-    def _need_tables(self):
-        if self.dlog is None:
-            raise RuntimeError(
-                f"field with {self.N} elements exceeds the dlog table limit")
+    # -- array arithmetic
 
     def varr_mul(self, a, b):
-        self._need_tables()
         out = self.exp[(self.dlog[a] + self.dlog[b]) % self.order]
         return np.where((a == 0) | (b == 0), 0, out)
 
     def varr_inv(self, a):
-        self._need_tables()
         return self.inv_t[a]
 
     def unity_roots(self):
@@ -498,7 +491,6 @@ class FieldCtx:
         is 0 or has even dlog.  Characteristic 2: c1 = 0, or
         Tr_{F/F_2}(c0 / c1^2) = 0; with inv(0) = 0 the first case is the
         trace of 0.  Two Python ints take the scalar mul."""
-        self._need_tables()
         scalar = isinstance(c0, int) and isinstance(c1, int)
         mul = self.mul if scalar else self.varr_mul
         if self.p == 2:
@@ -525,12 +517,10 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, k={self.k}, m={self.m})"
 
 
-def build_ctx(p: int, k: int, m: int, *, dlog_limit: int = DLOG_LIMIT,
-              cache=None, factor_budget: int = DEFAULT_FACTOR_BUDGET
-              ) -> FieldCtx:
+def build_ctx(p: int, k: int, m: int, *, cache=None,
+              factor_budget: int = DEFAULT_FACTOR_BUDGET) -> FieldCtx:
     """Deterministic field context for F_{(p^k)^m}."""
-    return FieldCtx(p, k, m, dlog_limit=dlog_limit, cache=cache,
-                    factor_budget=factor_budget)
+    return FieldCtx(p, k, m, cache=cache, factor_budget=factor_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +652,7 @@ def is_irreducible_in_ctx(ctx: FieldCtx, poly: tuple) -> bool:
     lead = poly[-1]
     monic = poly if lead == 1 else tuple(
         ctx.mul(c, ctx.inv(lead)) for c in poly)
-    if d == 2 and ctx.dlog is not None:
+    if d == 2:
         return not ctx.quad_reducible_mask(monic[0], monic[1])
     return is_irreducible_poly(ctx, monic)
 
@@ -677,7 +667,7 @@ def find_irreducibles(degree: int, ctx: FieldCtx):
         for c in range(N):
             yield (c, 1)
         return
-    if degree == 2 and ctx.dlog is not None:
+    if degree == 2:
         # c0 is the most significant digit of the canonical order: one row
         # of fixed c0 at a time keeps that order in O(N) memory
         c1 = np.arange(N, dtype=np.int64)

@@ -8,7 +8,7 @@ one c with varr_mul, or a block of seeded draws), to the one counting
 kernel, _GridCounter.grids: it works on discrete logs (g^k is r-free
 exactly when r does not divide k), evaluates a block at every alpha in one
 2-D Horner pass and fills its q x q trace-pair grids with one bincount.  A
-scalar pass over alpha is the path without tables and the kernel's oracle.
+scalar pass over alpha is the kernel's oracle.
 resolve_pair chains the cheap certificates before falling back to
 enumeration, counted in slices of about _BLOCK_ALPHAS alpha-entries; and
 scan_exceptions regenerates the full list of pairs the main condition
@@ -41,6 +41,7 @@ from .bounds import (
 )
 from .ff import (
     DLOG_LIMIT,
+    EnumerationBudgetExceeded,
     FieldCtx,
     RationalFunction,
     build_ctx,
@@ -60,11 +61,6 @@ EXCEPTION_WITNESS = "exception_witness"
 VERIFIED_EXHAUSTIVE = "verified_exhaustive"
 VERIFIED_SAMPLED = "verified_sampled"
 UNDECIDED = "undecided"
-
-
-class EnumerationBudgetExceeded(RuntimeError):
-    """The field (or the representative count) is too large for the
-    requested exhaustive work."""
 
 
 def splits_of(n: int) -> list[tuple[int, int]]:
@@ -193,7 +189,6 @@ class _GridCounter:
     together."""
 
     def __init__(self, ctx: FieldCtx, l1: int):
-        ctx._need_tables()
         self.ctx = ctx
         n = ctx.order
         self._zero = 2 * n - 1
@@ -246,8 +241,8 @@ class _GridCounter:
 
 
 def _scalar_grid(f: RationalFunction, l1: int, l2: int) -> list:
-    """The same q x q grid by one scalar pass over alpha: the path for a
-    context without tables, and the oracle the kernel is tested against."""
+    """The same q x q grid by one scalar pass over alpha: the oracle the
+    kernel is tested against."""
     ctx = f.ctx
     S = set(f.excluded_codes())
     grid = [[0] * ctx.q for _ in range(ctx.q)]
@@ -288,10 +283,7 @@ def count_table(f: RationalFunction, l1: int, l2: int, *,
             f"field size {ctx.N} exceeds alpha budget {budget}")
     ctx.check_divisor(l1)
     ctx.check_divisor(l2)
-    if ctx.dlog is None:
-        grid = _scalar_grid(f, l1, l2)
-    else:
-        grid = _GridCounter(ctx, l1).grids([f.num], [f.den], l2)[0]
+    grid = _GridCounter(ctx, l1).grids([f.num], [f.den], l2)[0]
     counts = tuple(tuple(int(x) for x in row) for row in grid)
     return CountTable(f, l1, l2, counts)
 
@@ -435,7 +427,6 @@ def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int) -> CrosscheckRepo
     from .characters import ChiPrecompute, count_via_characters
     if trials < 1:
         raise ValueError("trials must be positive")
-    ctx._need_tables()
     rng = random.Random(seed)
     divisors = [d for d in range(1, ctx.order + 1) if ctx.order % d == 0]
     max_dev = 0.0

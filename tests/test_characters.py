@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from primpairs.characters import (
-    AddChar,
     ChiPrecompute,
     MultChar,
     all_chars_of_order,
@@ -18,7 +17,7 @@ from primpairs.characters import (
     tau_a,
     tolerance,
 )
-from primpairs.ff import RationalFunction, build_ctx, find_irreducibles
+from primpairs.ff import RationalFunction, find_irreducibles
 
 SMALL_FIELDS = ["ctx_f4", "ctx_f8", "ctx_f9", "ctx_f3_4", "ctx_f2_6"]
 
@@ -214,6 +213,24 @@ def test_characters_refuse_codes_outside_the_field(ctx_f4):
     assert chi.value(0) == 0 and ac.psihat(3) == complex(ac.psihat_t[3])
 
 
+def test_characters_check_codes_alike_at_both_levels(ctx_f4):
+    # psi0 reads an F_q code and psihat an F_{q^m} code through the same
+    # check: a numpy integer is a code at both, a non-integer at neither
+    ac = canonical_add_char(ctx_f4)
+    assert ac.psi0(np.int64(1)) == ac.psi0(1)
+    assert ac.psihat(np.int64(1)) == ac.psihat(1)
+    assert ac.psihat(True) == ac.psihat(1)
+    for bad in (1.5, np.float64(1)):
+        with pytest.raises(ValueError, match="not an integer"):
+            ac.psi0(bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            ac.psihat(bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            tau_a(ctx_f4, 1, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        ac.psi0(2)  # F_2 has the codes 0 and 1
+
+
 @pytest.mark.parametrize("name", SMALL_FIELDS)
 def test_tau_matches_trace_indicator(name, request):
     ctx = request.getfixturevalue(name)
@@ -332,15 +349,6 @@ def test_count_rejects_bad_l(ctx_f9):
     f = RationalFunction(ctx_f9, (0, 1), (1,))
     with pytest.raises(ValueError):
         count_via_characters(f, 0, 0, 3, 8)
-
-
-def test_characters_refuse_tableless_ctx():
-    ctx = build_ctx(2, 1, 2, dlog_limit=2)
-    assert ctx.dlog is None
-    with pytest.raises(RuntimeError):
-        MultChar(ctx, 1)
-    with pytest.raises(RuntimeError):
-        AddChar(ctx)
 
 
 def test_tolerance_scales():

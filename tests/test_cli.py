@@ -157,7 +157,7 @@ def test_verify_beyond_dlog_table_limit_is_undecided(capsys):
 
 
 def test_crosscheck_beyond_dlog_table_limit_is_budget_exit(capsys):
-    # F_{2^23} has no dlog tables; refuse before building the context
+    # F_{2^23} is past the dlog table limit; its context refuses to build
     code, out, err = run(capsys, "crosscheck", "2", "1", "23", "1")
     assert code == 2 and out == ""
     assert "budget exceeded" in err and "Traceback" not in err
@@ -174,6 +174,19 @@ def test_crosscheck_huge_exponent_refused_before_evaluation(capsys):
     assert code == 2 and out == ""
     assert "budget exceeded" in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("0", "1", "-1", "3"),
+    ("0", "-1", "1", "3"),
+    ("2", "-1", "-23", "3"),
+])
+def test_crosscheck_refuses_nonpositive_k_and_m(capsys, argv):
+    # the sign check comes before the size check, so neither 0 ** -1 nor
+    # the size of 2^23 is ever reached
+    code, out, err = run(capsys, "crosscheck", *argv)
+    assert (code, out) == (3, "")
+    assert err == "invalid input: k and m must be positive\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from primpairs import ff
 from primpairs.arith import euler_phi, factor, factor_qm_minus_1
 from primpairs.ff import (
     POLE,
+    EnumerationBudgetExceeded,
     RationalFunction,
     build_ctx,
     find_irreducibles,
@@ -46,16 +47,24 @@ def test_build_ctx_f3_7(ctx_f3_7):
 
 
 def test_build_ctx_32_7_no_tables():
-    c = build_ctx(2, 5, 7)
-    assert c.q == 32
-    assert c.N == 2 ** 35
-    assert c.group_factors.primes == (31, 71, 127, 122921)
-    assert c.dlog is None
-    assert c.is_primitive_code(c.generator)
-    # addition needs no table; multiplication of arrays does
-    assert c.add(np.array([1, 3]), np.array([2, 3])).tolist() == [3, 0]
-    with pytest.raises(RuntimeError):
-        c.varr_mul(np.array([1]), np.array([2]))
+    # F_{32^7} is past the dlog table limit, so it has no context; the
+    # group order still factors
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"field size 2\^35 beyond dlog table limit"):
+        build_ctx(2, 5, 7)
+    assert factor_qm_minus_1(32, 7).primes == (31, 71, 127, 122921)
+
+
+def test_build_ctx_refuses_a_huge_field_before_evaluating_it():
+    # 3^(10^7) is never computed: the exponent alone is past the limit
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetExceeded):
+            build_ctx(3, 1, 10 ** 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_table_build_memory_2_18():
@@ -155,7 +164,7 @@ def test_trace_linearity_and_frobenius_invariance(ctx_f2_6):
     for _ in range(40):
         a, b = rng.randrange(c.N), rng.randrange(c.N)
         assert c.trace_q(c.add(a, b)) == c.subfield.add(c.trace_q(a), c.trace_q(b))
-        assert c.trace_q(c.frobenius(a)) == c.trace_q(a)
+        assert c.trace_q(int(c.frob_t[a])) == c.trace_q(a)
 
 
 def test_trace_surjectivity_counts(ctx_f4, ctx_f9, ctx_f3_4, ctx_f2_6):
@@ -341,6 +350,30 @@ def test_rational_function_refuses_codes_outside_the_field(num):
             RationalFunction(c, (1,), tuple(reversed(num)), check=check)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(2), "1", None])
+def test_check_code_refuses_a_non_integer(bad):
+    # the kernel's int32 cast would read 1.5 as 1; every level of the tower
+    # refuses it, and no RationalFunction is built with it
+    c = build_ctx(2, 2, 2)
+    for level in (c, c.subfield, c.subfield.subfield):
+        with pytest.raises(ValueError, match="not an integer"):
+            level.check_code(bad)
+    with pytest.raises(ValueError, match="not an integer"):
+        RationalFunction(c, (bad, 1), (1,), check=False)
+
+
+def test_check_code_returns_a_python_int():
+    c = build_ctx(2, 2, 2)
+    for level in (c, c.subfield, c.subfield.subfield):
+        for x in (np.int64(1), np.int32(1), True, 1):
+            got = level.check_code(x)
+            assert type(got) is int and got == 1
+        with pytest.raises(ValueError, match="out of range"):
+            level.check_code(np.int64(level.card))
+    f = RationalFunction(c, (np.int64(3), 1), (1,))
+    assert [type(x) for x in f.num] == [int, int]
+
+
 def test_check_divisor(ctx_f3_4):
     assert ctx_f3_4.check_divisor(16) == 16
     for u in (0, -80, 7, 160):
@@ -442,7 +475,7 @@ def test_first_irreducible_start_block():
 
 # -- the F_q level of the tower ---------------------------------------------
 
-TOWERS = [(2, 2, 3), (3, 2, 2), (2, 5, 7)]  # F_{4^3}, F_{9^2}, table-free
+TOWERS = [(2, 2, 3), (3, 2, 2), (2, 5, 3)]  # F_{4^3}, F_{9^2}, F_{32^3}
 
 
 def _digits(code, p, k):
@@ -505,20 +538,17 @@ def _frobenius_trace(a, p, k, modulus):
 @pytest.mark.parametrize("p,k,m", TOWERS)
 def test_absolute_trace_is_frobenius_sum(p, k, m):
     c = build_ctx(p, k, m)
-    # the table-free field keeps no trace_abs_t of its own; its subfield's
-    # trace table is what a tabled field of that tower would read
-    table = c.trace_abs_t if c.dlog is not None else c.subfield.trace_t
-    assert len(table) == c.q
+    assert len(c.trace_abs_t) == c.q
     for a in range(c.q):
-        assert table[a] == _frobenius_trace(a, p, k, c.subfield.poly)
+        assert c.trace_abs_t[a] == _frobenius_trace(a, p, k, c.subfield.poly)
 
 
-def test_table_free_tower_describe_is_pinned():
-    assert build_ctx(2, 5, 7).describe() == {
-        "p": 2, "k": 5, "m": 7,
+def test_tower_describe_is_pinned():
+    assert build_ctx(2, 5, 3).describe() == {
+        "p": 2, "k": 5, "m": 3,
         "subfield_poly": [1, 0, 0, 1, 0, 1],
-        "poly": [1, 0, 0, 0, 0, 0, 1, 1],
+        "poly": [1, 0, 1, 1],
         "generator": 34,
-        "group_order": 34359738367,
-        "group_factors": [[31, 1], [71, 1], [127, 1], [122921, 1]],
+        "group_order": 32767,
+        "group_factors": [[7, 1], [31, 1], [151, 1]],
     }

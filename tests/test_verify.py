@@ -170,17 +170,6 @@ def test_vector_path_equals_scalar_path(F9, F64, F64_over_F4):
                             == tuple(map(tuple, V._scalar_grid(f, l1, l2))))
 
 
-def test_tableless_ctx_uses_scalar_path(F9):
-    bare = build_ctx(3, 1, 2, dlog_limit=2)
-    assert bare.dlog is None
-    f_b = RationalFunction(bare, (0, 1), (1, 1))
-    f_t = RationalFunction(F9, (0, 1), (1, 1))
-    for a in range(3):
-        for b in range(3):
-            assert (brute_force_count(f_b, a, b, 8, 8)
-                    == brute_force_count(f_t, a, b, 8, 8))
-
-
 def test_count_rejects(F9):
     f = RationalFunction(F9, (0, 1), (1, 1))
     with pytest.raises(ValueError):
@@ -429,12 +418,6 @@ def test_crosscheck_reproducible(F9):
     a = crosscheck_identity(F9, 15, seed=3)
     b = crosscheck_identity(F9, 15, seed=3)
     assert a.serialize() == b.serialize()
-
-
-def test_crosscheck_needs_tables():
-    bare = build_ctx(3, 1, 2, dlog_limit=2)
-    with pytest.raises(RuntimeError):
-        crosscheck_identity(bare, 5, seed=0)
 
 
 def test_trace_only_crosscheck_is_near_exact(F81):
