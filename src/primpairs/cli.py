@@ -165,7 +165,8 @@ def cmd_verify(args) -> list:
 def cmd_crosscheck(args) -> list:
     ctx = build_ctx(args.p, args.k, args.m, cache=args.cache,
                     factor_budget=args.budget_factor)
-    report = crosscheck_identity(ctx, args.trials, args.seed)
+    report = crosscheck_identity(ctx, args.trials, args.seed,
+                                 budget=args.budget_enum)
     blob = report.serialize()
     blob["ok"] = report.ok
     blob["manifest"] = _manifest(args)

@@ -7,8 +7,9 @@ from enumerate_R, which yields blocks of rows (the monic pairs scaled by
 one c with varr_mul, or a block of seeded draws), to the one counting
 kernel, _GridCounter.grids: it works on discrete logs (g^k is r-free
 exactly when r does not divide k), evaluates a block at every alpha in one
-2-D Horner pass and fills its q x q trace-pair grids with one bincount.  A
-scalar pass over alpha is the kernel's oracle.
+2-D Horner pass whose step is one Zech-logarithm lookup, log(g^u + g^v) =
+v + Z[u - v], with no field addition, and fills its q x q trace-pair grids
+with one bincount.  A scalar pass over alpha is the kernel's oracle.
 resolve_pair chains the cheap certificates before falling back to
 enumeration, counted in slices of about _BLOCK_ALPHAS alpha-entries; and
 scan_exceptions regenerates the full list of pairs the main condition
@@ -169,75 +170,107 @@ def _free_residues(ctx: FieldCtx, l: int) -> np.ndarray:
     return free
 
 
+def _zech_logs(ctx: FieldCtx) -> np.ndarray:
+    """Zech logarithms Z[t] = dlog(1 + g^t) for t < N-1, as int32, and -1
+    at the t with g^t = -1."""
+    return ctx.dlog[ctx.add(ctx.exp, 1)].astype(np.int32)
+
+
 class _GridCounter:
     """The counting kernel for one context and one l1.
 
     It keeps the L l1-free codes alpha, their discrete logs and the
     trace-pair cell (Tr(alpha), Tr(alpha^-1)) of each.  grids counts a block
     of B representatives of one split in one pass over a B x L array:
-    Horner's rule evaluates every numerator and denominator at every alpha,
-    a product acc * alpha being one lookup exp[dlog acc + dlog alpha];
-    f(alpha) is l2-free when the residue dlog num - dlog den (mod N-1) is;
-    and one bincount of row * q^2 + cell fills all B grids.
+    Horner's rule evaluates every numerator and denominator at every alpha
+    on discrete logs, f(alpha) is l2-free when log num - log den (mod n,
+    n = N-1) is, and one bincount of row * q^2 + cell fills all B grids.
 
-    The code 0 gets the sentinel dlog z = 2(N-1) - 1, one past the largest
-    sum of two discrete logs.  The kernel's exp table is extended with zeros
-    from z on, so a zero accumulator stays zero, and each l2 table is False
-    wherever num or den is the sentinel.  That drops the zeros and poles of
-    f in F, which is S without 0: an irreducible part of degree >= 2 has no
-    root in F, so for a valid f numerator and denominator never vanish
-    together."""
+    A Horner step acc * alpha + c is lc + W[acc + log alpha - lc], lc the
+    log of c, since log(g^u + g^lc) = lc + Z[u - lc] with the Zech
+    logarithms Z[t] = log(1 + g^t).  Logs are not reduced mod n: a nonzero
+    value lies in [0, 2n-2], a zero one in [z-n+1, z] with z = -(5n-2),
+    and the coefficient 0 has the log -(3n-1).  So s = acc + log alpha - lc
+    falls in disjoint regions of W, read at s + 3n-1 with the index clipped:
+      acc = 0, c != 0   s <= -4n+1     W = 0, the step gives c
+      acc = 0, c = 0    [-3n+2, -n]    W = z + 3n-1, it gives z
+      both nonzero      [-n+1, 3n-2]   W = Z[s mod n], or z-n+1 where
+                                       g^u = -c, so it gives a zero
+      acc != 0, c = 0   [3n-1, 6n-3]   W = (s mod n) + 3n-1: acc * alpha
+    The l2 table is read at log num - log den + 2n-1, clipped: both
+    nonzero land in [1, 4n-3], and a zero numerator or denominator clips
+    to a False end.  That drops the zeros and poles of f in F, which is S
+    without 0: an irreducible part of degree >= 2 has no root in F, so for
+    a valid f numerator and denominator never vanish together.  W (9n-2
+    int32) and one l2 table (4n-1 bools) take 40 bytes per field element.
+    """
 
     def __init__(self, ctx: FieldCtx, l1: int):
         self.ctx = ctx
         n = ctx.order
-        self._zero = 2 * n - 1
-        self._dlog = ctx.dlog.astype(np.int32)
-        self._dlog[0] = self._zero
-        exp = ctx.exp.astype(np.int32)
-        self._exp = np.concatenate([exp, exp[:n - 1],
-                                    np.zeros(n, dtype=np.int32)])
+        self._zero = -(5 * n - 2)
+        self._zero_coef = -(3 * n - 1)
         keep = np.zeros(ctx.N, dtype=bool)
         keep[1:] = _free_residues(ctx, l1)[ctx.dlog[1:]]
         self.codes = np.flatnonzero(keep)
-        self._dlog_alpha = self._dlog[self.codes]
+        # alpha's log with the offset of s in W folded in
+        self._dlog_alpha = (ctx.dlog[self.codes] + 3 * n - 1).astype(np.int32)
         self.cell = (ctx.trace_t[self.codes] * ctx.q
                      + ctx.trace_t[ctx.inv_t[self.codes]])
+        # W[s + 3n-1]: Z four times from s = -n, the ends overwritten
+        zech = _zech_logs(ctx)
+        zech[zech < 0] = self._zero - n + 1
+        step = self._step = np.empty(9 * n - 2, dtype=np.int32)
+        step[2 * n - 1:6 * n - 1].reshape(4, n)[:] = zech
+        step[0] = 0
+        step[1:2 * n] = self._zero - self._zero_coef
+        step[6 * n - 2:].reshape(3, n)[:] = np.arange(3 * n - 1, 4 * n - 1)
         self._l2_tables: dict[int, np.ndarray] = {}
+        self._rows = np.empty((0, len(self.codes)), dtype=np.int64)
 
     def _l2_table(self, l2: int) -> np.ndarray:
-        """l2-freeness of f(alpha), indexed by dlog num - dlog den + z: the
-        residues 1, ..., N-2, 0, ..., N-2 between N-1 False entries for
-        den(alpha) = 0 below and N-1 for num(alpha) = 0 above."""
+        """l2-freeness of f(alpha) at log num - log den + 2n-1: entry i is
+        that of the residue i + 1 (mod n), and the two ends are False."""
         table = self._l2_tables.get(l2)
         if table is None:
-            n = self.ctx.order
-            free = _free_residues(self.ctx, l2)
-            zero = np.zeros(n, dtype=bool)
-            table = np.concatenate([zero, free[1:], free, zero])
-            self._l2_tables[l2] = table
+            free = np.tile(_free_residues(self.ctx, l2), 4)[1:]
+            free[[0, -1]] = False
+            self._l2_tables[l2] = table = free
         return table
 
-    def _horner(self, coeffs: np.ndarray) -> np.ndarray:
-        """Codes of the polynomials in the rows of coeffs (lowest degree
-        first) at every counted alpha; a constant stays one column."""
-        acc = coeffs[:, -1:]
+    def _horner(self, coeffs: np.ndarray) -> tuple:
+        """(w, c): the logs of the polynomials in the rows of coeffs (lowest
+        degree first) at every counted alpha are w + c, w a B x L block
+        (None for a constant) and c the column of constant-term logs."""
+        logs = np.where(coeffs == 0, self._zero_coef,
+                        self.ctx.dlog[coeffs]).astype(np.int32)
+        w, c = None, np.where(coeffs[:, -1:] == 0, self._zero, logs[:, -1:])
         for j in range(coeffs.shape[1] - 2, -1, -1):
-            acc = self.ctx.add(self._exp[self._dlog[acc] + self._dlog_alpha],
-                               coeffs[:, j:j + 1])
-        return acc
+            s = self._dlog_alpha + (c - logs[:, j:j + 1])
+            if w is not None:
+                s += w
+            w, c = self._step.take(s, mode="clip"), logs[:, j:j + 1]
+        return w, c
 
     def grids(self, num, den, l2: int) -> np.ndarray:
         """B x q x q counts indexed by the trace pair (a, b), one grid per
         representative: row i of num and den holds the coefficients of its
         numerator and denominator, lowest degree first."""
         q, b = self.ctx.q, len(num)
-        num = self._horner(np.asarray(num, dtype=np.int32))
-        den = self._horner(np.asarray(den, dtype=np.int32))
-        free = self._l2_table(l2)[self._dlog[num] - self._dlog[den]
-                                  + self._zero]
-        rows = np.arange(b)[:, None] * q * q + self.cell
-        return np.bincount(rows[free], minlength=b * q * q).reshape(b, q, q)
+        wn, cn = self._horner(np.asarray(num))
+        wd, cd = self._horner(np.asarray(den))
+        u = cn - cd + (2 * self.ctx.order - 1)
+        if wn is not None:
+            u = u + wn
+        if wd is not None:
+            u = u - wd
+        free = self._l2_table(l2).take(u, mode="clip")
+        if len(self._rows) < b:  # bincount offsets of the largest block
+            self._rows = np.arange(b)[:, None] * q * q + self.cell
+        rows = self._rows[:b]
+        # compress: several times faster here than rows[free]
+        return np.bincount(rows.compress(free.ravel()),
+                           minlength=b * q * q).reshape(b, q, q)
 
 
 def _scalar_grid(f: RationalFunction, l1: int, l2: int) -> list:
@@ -421,12 +454,18 @@ class CrosscheckReport:
                 "mismatches": list(self.mismatches)}
 
 
-def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int) -> CrosscheckReport:
+def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int, *,
+                        budget: int = DEFAULT_ALPHA_BUDGET) -> CrosscheckReport:
     """Random (f, a, b, l1, l2) tuples: the character-sum count must round
-    to the brute-force integer every time."""
+    to the brute-force integer every time.  Refused when q^2 N, the entry
+    count of each f's psi-hat matrix, exceeds the budget."""
     from .characters import ChiPrecompute, count_via_characters
     if trials < 1:
         raise ValueError("trials must be positive")
+    if ctx.q ** 2 * ctx.N > budget:
+        raise EnumerationBudgetExceeded(
+            f"q^2 * N = {ctx.q ** 2 * ctx.N} character-sum entries exceed "
+            f"alpha budget {budget}")
     rng = random.Random(seed)
     divisors = [d for d in range(1, ctx.order + 1) if ctx.order % d == 0]
     max_dev = 0.0
@@ -441,7 +480,7 @@ def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int) -> CrosscheckRepo
         a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
         l1, l2 = rng.choice(divisors), rng.choice(divisors)
         approx = count_via_characters(f, a, b, l1, l2, pre=pres[f])
-        exact = brute_force_count(f, a, b, l1, l2)
+        exact = brute_force_count(f, a, b, l1, l2, budget=budget)
         dev = abs(approx - exact)
         max_dev = max(max_dev, dev)
         if round(approx) != exact:

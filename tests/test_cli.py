@@ -176,6 +176,38 @@ def test_crosscheck_huge_exponent_refused_before_evaluation(capsys):
     assert peak < 1 << 20
 
 
+def test_crosscheck_budget_refuses_before_character_tables(capsys):
+    # F_{64^2}: q^2 * N = 2^24 entries of the psi-hat matrix, past the
+    # default 2^20 budget; refused before any of them is allocated
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "crosscheck", "2", "6", "2", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("budget exceeded: q^2 * N = 16777216 character-sum "
+                   "entries exceed alpha budget 1048576\n")
+    assert peak < 16 << 20
+
+
+def test_crosscheck_reads_budget_enum(capsys):
+    # F_16 over F_2 needs q^2 * N = 64 entries: refused under a budget of
+    # 50, and unchanged under the default
+    code, out, err = run(capsys, "--budget-enum", "50",
+                         "crosscheck", "2", "1", "4", "5")
+    assert (code, out) == (2, "")
+    assert "q^2 * N = 64" in err and "budget 50" in err
+    code, out, err = run(capsys, "crosscheck", "2", "1", "4", "5")
+    blob = json.loads(out)
+    assert code == 0 and err == ""
+    assert blob.pop("max_deviation") < 1e-12
+    assert blob == {"ctx": "F_2^4/F_2", "mismatches": [], "ok": True,
+                    "seed": 0, "trials": 5,
+                    "manifest": {"enum_budget": 1048576,
+                                 "factor_budget": 50000000, "seed": 0}}
+
+
 @pytest.mark.parametrize("argv", [
     ("0", "1", "-1", "3"),
     ("0", "-1", "1", "3"),

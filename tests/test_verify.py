@@ -2,6 +2,9 @@
 scalar recount, grid invariants, the resolve_pair pipeline, and the
 character-sum crosscheck."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,12 @@ from primpairs.arith import (
 )
 from primpairs.bounds import main_margin
 from primpairs.characters import count_via_characters
-from primpairs.ff import RationalFunction, build_ctx, find_irreducibles
+from primpairs.ff import (
+    RationalFunction,
+    build_ctx,
+    find_irreducibles,
+    poly_eval,
+)
 from primpairs.refdata import load_certificate_rows
 from primpairs.verify import (
     CountTable,
@@ -276,10 +284,32 @@ def test_grids_equal_scalar_oracle_on_all_of_F16(pkm):
     assert seen == sum(count_R(n1, n2, ctx) for n1, n2 in splits_of(2))
 
 
-@pytest.mark.parametrize("pkm", [(3, 1, 2), (2, 1, 6), (3, 1, 4), (2, 2, 3)])
+def _edge_functions(ctx):
+    """Valid f whose evaluation reaches a zero coefficient (x, x^2 + c0),
+    the Zech table's zero entry (x + 1 at alpha = -1 = g^(n/2)) and an
+    intermediate zero of Horner's rule (x^2 + x + c0 at alpha = -1)."""
+    minus_one = ctx.neg(1)
+    rows = [((0, 1), (1,)), ((1,), (0, 1)), ((0, 1), (1, 1)),
+            ((1, 1), (0, 1)), ((1, 1), (1,)), ((1,), (1, 1)),
+            ((0, minus_one), (1, 1)), ((5 % ctx.N, 5 % ctx.N), (0, 1))]
+    for c1 in (0, 1):
+        c0 = next((c for c in range(1, ctx.N)
+                   if not ctx.quad_reducible_mask(c, c1)), None)
+        if c0 is None:
+            continue  # no x^2 + c0 is irreducible in characteristic 2
+        quad = (c0, c1, 1)
+        rows += [(quad, (1,)), ((1,), quad), (quad, (0, 1)), ((0, 1), quad),
+                 (quad, (1, 1)), ((1, 1), quad),
+                 (tuple(ctx.mul(minus_one, x) for x in quad), (1,))]
+    return [RationalFunction(ctx, num, den) for num, den in rows]
+
+
+@pytest.mark.parametrize("pkm", [(3, 1, 2), (2, 1, 6), (3, 1, 4), (2, 2, 3),
+                                 (5, 1, 2), (7, 1, 2), (3, 2, 2)])
 def test_grids_equal_scalar_oracle_on_samples(pkm):
-    # F_9, F_64, F_{3^4}, F_{4^3}; l1 and l2 each 1, a prime divisor of
-    # the group order, and the order itself
+    # F_9, F_64, F_{3^4}, F_{4^3}, F_25, F_49 and F_{9^2}; l1 and l2 each
+    # 1, a prime divisor of the group order, and the order itself; seeded
+    # draws of every split, then the edge rows one at a time
     ctx = build_ctx(*pkm)
     ls = (1, ctx.group_factors.primes[-1], ctx.order)
     for l1 in ls:
@@ -291,6 +321,53 @@ def test_grids_equal_scalar_oracle_on_samples(pkm):
             for l2 in ls:
                 for f, grid in zip(fs, counter.grids(num, den, l2).tolist()):
                     assert grid == V._scalar_grid(f, l1, l2)
+        for f in _edge_functions(ctx):
+            for l2 in ls:
+                grid, = counter.grids([f.num], [f.den], l2).tolist()
+                assert grid == V._scalar_grid(f, l1, l2), (f, l1, l2)
+
+
+ZECH_FIELDS = [(2, 1, 1), (3, 1, 1), (2, 1, 4), (2, 2, 3), (3, 1, 2),
+               (3, 1, 4), (5, 1, 2), (7, 1, 2), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("pkm", ZECH_FIELDS)
+def test_zech_logs_add_one(pkm):
+    # exp[Z[t]] = g^t + 1, and the one t with g^t = -1 has no log: t = n/2
+    # for odd p, t = 0 in characteristic 2
+    ctx = build_ctx(*pkm)
+    n = ctx.order
+    zech = V._zech_logs(ctx)
+    assert zech.shape == (n,)
+    assert np.flatnonzero(zech < 0).tolist() == [n // 2 if ctx.p > 2 else 0]
+    t = np.flatnonzero(zech >= 0)
+    assert (ctx.exp[zech[t]] == ctx.add(ctx.exp[t], 1)).all()
+
+
+@pytest.mark.parametrize("pkm", ZECH_FIELDS)
+def test_horner_logs_equal_scalar_evaluation(pkm):
+    # polynomials of degree 0..4 with many zero coefficients, zero leading
+    # coefficients and intermediate zeros included: w + c is the log of
+    # p(alpha) mod n in [0, 2n-2], or lies in the zero range [z-n+1, z]
+    ctx = build_ctx(*pkm)
+    n, counter = ctx.order, V._GridCounter(ctx, 1)
+    rng = np.random.default_rng(sum(pkm))
+    alphas = counter.codes.tolist()
+    for d in range(5):
+        coeffs = rng.integers(0, ctx.N, size=(40, d + 1))
+        coeffs[rng.random(coeffs.shape) < 0.4] = 0
+        coeffs[:3] = [1] + [0] * d, [ctx.neg(1)] * (d + 1), [1] * (d + 1)
+        w, c = counter._horner(coeffs)
+        logs = np.broadcast_to(c if w is None else w + c,
+                               (len(coeffs), len(alphas)))
+        for row, got in zip(coeffs.tolist(), logs.tolist()):
+            for alpha, log in zip(alphas, got):
+                value = poly_eval(ctx, row, alpha)
+                if value == 0:
+                    assert counter._zero - n < log <= counter._zero
+                else:
+                    assert 0 <= log <= 2 * n - 2
+                    assert log % n == ctx.dlog[value]
 
 
 # -- resolve_pair -----------------------------------------------------------
@@ -372,6 +449,20 @@ def test_resolve_sampled_is_reproducible():
     assert a.in_Qn is None
     assert a.seed == 9
     assert a.serialize() == b.serialize()
+
+
+SAMPLED_PAIRS = ((2, 8), (2, 9), (3, 7), (2, 10), (2, 11), (2, 12))
+
+
+def test_sampled_verdicts_are_pinned():
+    # the unresolved pairs the benchmark samples, 1000 draws per split at
+    # seed 0: a kernel change must not move a verdict, a coverage count or
+    # a witness.  The digest was taken before the Zech-logarithm kernel.
+    blob = json.dumps([resolve_pair(q, m, 2, seed=0,
+                                    sample_count=1000).serialize()
+                       for q, m in SAMPLED_PAIRS], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "c4afae2215c0e997b0ac1005775997d2b425de5d5a3bb3817e5d62fd22aaa3bd")
 
 
 def test_resolve_undecided_beyond_alpha_budget():
