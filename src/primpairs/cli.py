@@ -40,6 +40,7 @@ from .refdata import bound_window, load_certificate_rows
 from .verify import (
     DEFAULT_ALPHA_BUDGET,
     EnumerationBudgetExceeded,
+    check_crosscheck,
     crosscheck_identity,
     resolve_pair,
     scan_exceptions,
@@ -163,6 +164,7 @@ def cmd_verify(args) -> list:
 
 
 def cmd_crosscheck(args) -> list:
+    check_crosscheck(args.p, args.k, args.m, args.trials, args.budget_enum)
     ctx = build_ctx(args.p, args.k, args.m, cache=args.cache,
                     factor_budget=args.budget_factor)
     report = crosscheck_identity(ctx, args.trials, args.seed,

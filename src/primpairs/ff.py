@@ -24,7 +24,10 @@ A monic quadratic x^2 + c1 x + c0 is irreducible exactly when it has no root
 (Lidl-Niederreiter, Finite Fields, ch. 3): for odd q when its discriminant
 c1^2 - 4 c0 is a nonsquare, i.e. has odd dlog; in characteristic 2 when
 c1 != 0 and Tr_{F/F_2}(c0 / c1^2) = 1 (Artin-Schreier, after the substitution
-x = c1 y).  No table of quadratics is kept.
+x = c1 y).  No table of quadratics is kept.  FieldCtx.irreducible_mask
+decides a block of monic polynomials of any degree at once: quadratics so,
+higher degrees by the same Frobenius criterion as is_irreducible_poly, on
+code arrays.
 """
 
 from __future__ import annotations
@@ -263,6 +266,21 @@ class _PrimeField(_CodeField):
 # ---------------------------------------------------------------------------
 # the big field
 
+def check_field(p: int, k: int, m: int) -> None:
+    """Refuse what FieldCtx(p, k, m) cannot build: k or m below 1, more
+    than DLOG_LIMIT elements, or a p that is not prime."""
+    if k < 1 or m < 1:
+        raise ValueError("k and m must be positive")
+    # for p >= 2 an exponent past the limit's bit length already exceeds
+    # the limit; test it first, since p ** (k m) may not fit in memory
+    km = k * m
+    if km > DLOG_LIMIT.bit_length() or p ** km > DLOG_LIMIT:
+        raise EnumerationBudgetExceeded(
+            f"field size {p}^{km} beyond dlog table limit {DLOG_LIMIT}")
+    if not is_probable_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 class FieldCtx(_CodeField):
     """F_{q^m} = F_q[y]/(defining_poly), q = p^k, with at most DLOG_LIMIT
     elements and always its tables.
@@ -277,16 +295,7 @@ class FieldCtx(_CodeField):
 
     def __init__(self, p: int, k: int, m: int, *, cache=None,
                  factor_budget: int = DEFAULT_FACTOR_BUDGET):
-        if k < 1 or m < 1:
-            raise ValueError("k and m must be positive")
-        # for p >= 2 an exponent past the limit's bit length already exceeds
-        # the limit; test it first, since p ** (k m) may not fit in memory
-        km = k * m
-        if km > DLOG_LIMIT.bit_length() or p ** km > DLOG_LIMIT:
-            raise EnumerationBudgetExceeded(
-                f"field size {p}^{km} beyond dlog table limit {DLOG_LIMIT}")
-        if not is_probable_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+        check_field(p, k, m)
         self.p = p
         self.k = k
         self.m = m
@@ -498,6 +507,104 @@ class FieldCtx(_CodeField):
             return self.trace_abs_t[self.trace_t[t]] == 0
         disc = self.add(mul(c1, c1), mul((-4) % self.p, c0))
         return (disc == 0) | (self.dlog[disc] % 2 == 0)
+
+    # -- irreducible polynomials, a block at a time
+
+    def irreducible_mask(self, low) -> np.ndarray:
+        """True where the monic x^d + low[i, d-1] x^(d-1) + ... + low[i, 0]
+        is irreducible, for a B x d code array low: is_irreducible_poly's
+        test on code arrays, every row f at once.
+
+        Degree 2 is quad_reducible_mask.  Above it, phi(g) = g^N = g(x^N) is
+        the Frobenius map of F[x]/(f), linear over F: one x^N by squaring,
+        then each phi is a combination of the powers of x^N.  f is
+        irreducible iff phi^d(x) = x and phi^(d/r)(x) - x is prime to f for
+        every prime r | d."""
+        low = np.asarray(low, dtype=np.int64)
+        B, d = low.shape
+        if d == 1:
+            return np.ones(B, dtype=bool)
+        if d == 2:
+            return ~self.quad_reducible_mask(low[:, 0], low[:, 1])
+        add, mul = self.add, self.varr_mul
+        zero, one = np.zeros(B, dtype=np.int64), np.ones(B, dtype=np.int64)
+        top = [self.neg(low[:, i]) for i in range(d)]  # x^d mod f
+
+        def reduce(prod):
+            for t in range(len(prod) - 1, d - 1, -1):
+                for i in range(d):
+                    prod[t - d + i] = add(prod[t - d + i],
+                                          mul(prod[t], top[i]))
+            return prod[:d]
+
+        def mulmod(a, b):
+            prod = [zero] * (2 * d - 1)
+            for i in range(d):
+                for j in range(d):
+                    prod[i + j] = add(prod[i + j], mul(a[i], b[j]))
+            return reduce(prod)
+
+        x = [zero, one] + [zero] * (d - 2)
+        h = x
+        for bit in bin(self.N)[3:]:
+            h = mulmod(h, h)
+            if bit == "1":
+                h = reduce([zero, *h])
+        powers = [h]  # h^1, ..., h^(d-1)
+        for _ in range(d - 2):
+            powers.append(mulmod(powers[-1], h))
+
+        def phi(g):
+            out = [g[0]] + [zero] * (d - 1)
+            for i in range(1, d):
+                for j in range(d):
+                    out[j] = add(out[j], mul(g[i], powers[i - 1][j]))
+            return out
+
+        primes = {r for r, _ in factor(d).factors}
+        gaps = []  # phi^(d/r)(x) - x
+        t = h
+        for j in range(1, d):
+            if d % j == 0 and d // j in primes:
+                gaps.append(np.column_stack([self.sub(a, b)
+                                             for a, b in zip(t, x)]))
+            t = phi(t)
+        ok = np.logical_and.reduce([a == b for a, b in zip(t, x)])
+        f = np.column_stack([low, one])
+        for g in gaps:
+            ok &= self._coprime(f, g)
+        return ok
+
+    def _coprime(self, a, b) -> np.ndarray:
+        """True where rows of a (monic, degree d) and b (d columns, so of
+        lower degree) have no common factor: Euclid's algorithm, removing
+        one leading term of every row per step."""
+        a = a.copy()
+        b = np.column_stack([b, np.zeros(len(b), dtype=np.int64)])
+        cols = np.arange(a.shape[1])
+
+        def degree(g):
+            nz = g != 0
+            return np.where(nz.any(axis=1),
+                            cols[-1] - np.argmax(nz[:, ::-1], axis=1), -1)
+
+        da, db = degree(a), degree(b)
+        while (live := np.flatnonzero(db > 0)).size:
+            A, Bp, sa, sb = a[live], b[live], da[live], db[live]
+            # A -= (lead A / lead Bp) x^(sa - sb) Bp, as sa >= sb
+            r = np.arange(len(live))
+            c = self.varr_mul(A[r, sa], self.inv_t[Bp[r, sb]])
+            shift = cols - (sa - sb)[:, None]
+            moved = np.where(shift >= 0, np.take_along_axis(
+                Bp, np.maximum(shift, 0), axis=1), 0)
+            A = self.sub(A, self.varr_mul(c[:, None], moved))
+            sa = degree(A)
+            swap = sa < sb
+            a[live] = np.where(swap[:, None], Bp, A)
+            b[live] = np.where(swap[:, None], A, Bp)
+            da[live] = np.where(swap, sb, sa)
+            db[live] = np.where(swap, sa, sb)
+        return db == 0
 
     # -- serialization
 

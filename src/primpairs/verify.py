@@ -5,11 +5,16 @@ earns it the hard way: enumerate representatives of R_{n1,n2}, walk every
 alpha, and count.  A representative c * p/q is a row of coefficient codes
 from enumerate_R, which yields blocks of rows (the monic pairs scaled by
 one c with varr_mul, or a block of seeded draws), to the one counting
-kernel, _GridCounter.grids: it works on discrete logs (g^k is r-free
-exactly when r does not divide k), evaluates a block at every alpha in one
-2-D Horner pass whose step is one Zech-logarithm lookup, log(g^u + g^v) =
-v + Z[u - v], with no field addition, and fills its q x q trace-pair grids
-with one bincount.  A scalar pass over alpha is the kernel's oracle.
+kernel.  The seeded draws are defined by a scalar random.Random loop
+(randrange for c, then for p and q until irreducible); _draw_rows
+replays its 32-bit word stream in numpy, chunk by chunk, with the same
+rows and the same final generator state, and tests a chunk's candidates
+for irreducibility in one FieldCtx.irreducible_mask call.  The kernel,
+_GridCounter.grids, works on discrete logs (g^k is r-free exactly when r
+does not divide k), evaluates a block at every alpha in one 2-D Horner
+pass whose step is one Zech-logarithm lookup,
+log(g^u + g^v) = v + Z[u - v], with no field addition, and fills its
+q x q trace-pair grids with one bincount.  A scalar pass over alpha is the kernel's oracle.
 resolve_pair chains the cheap certificates before falling back to
 enumeration, counted in slices of about _BLOCK_ALPHAS alpha-entries; and
 scan_exceptions regenerates the full list of pairs the main condition
@@ -26,6 +31,7 @@ import numpy as np
 from .arith import (
     DEFAULT_FACTOR_BUDGET,
     FactorCache,
+    FactoredInteger,
     factor,
     factor_qm_minus_1,
     moebius,
@@ -46,9 +52,8 @@ from .ff import (
     FieldCtx,
     RationalFunction,
     build_ctx,
+    check_field,
     find_irreducibles,
-    is_irreducible_in_ctx,
-    poly_from_index,
 )
 
 DEFAULT_ALPHA_BUDGET = 1 << 20  # exhaustive alpha-loops up to this field size
@@ -108,8 +113,17 @@ def enumerate_R(n1: int, n2: int, ctx: FieldCtx, *,
     Without count and seed, every representative: the monic pairs (p, q)
     in canonical code order, one block per scale c = 1, ..., N-1, so the
     stream walks c, then numerator, then denominator.  With them, one block
-    of `count` representatives drawn from a generator seeded with `seed`
-    (duplicates possible, order reproducible).
+    of `count` representatives drawn from random.Random(seed) (duplicates
+    possible): the draws are those of the loop
+
+        c = rng.randrange(1, N)
+        p = draw(n1)
+        q = draw(n2), again while n1 == n2 and q == p
+
+    where draw(d) is (1,) for d = 0 and otherwise the monic
+    poly_from_index(d, rng.randrange(N^d), N), again until irreducible.
+    That stream, row for row and with the generator's final state, is the
+    contract; _draw_rows replays it in numpy.
     """
     if n1 == 0 and n2 == 0:
         raise ValueError("degenerate split (0, 0)")
@@ -125,36 +139,138 @@ def enumerate_R(n1: int, n2: int, ctx: FieldCtx, *,
         for c in range(1, ctx.N):
             yield ctx.varr_mul(c, p), q
     else:
-        rng = random.Random(seed)
-        draws = (_draw_representative(n1, n2, ctx, rng) for _ in range(count))
-        rows = np.fromiter(((c, *p, *q) for c, p, q in draws), count=count,
-                           dtype=np.dtype((np.int64, n1 + n2 + 3)))
+        rows = _draw_rows(n1, n2, ctx, random.Random(seed), count)
         c, p, q = np.split(rows, [1, n1 + 2], axis=1)
         yield ctx.varr_mul(c, p), q
 
 
-def _draw_irreducible(degree: int, ctx: FieldCtx, rng: random.Random) -> tuple:
-    if degree == 0:
-        return (1,)
-    if degree == 1:
-        return (rng.randrange(ctx.N), 1)
-    while True:
-        n = rng.randrange(ctx.N ** degree)
-        cs = poly_from_index(degree, n, ctx.N)
-        if is_irreducible_in_ctx(ctx, cs):
-            return cs
+# ---------------------------------------------------------------------------
+# seeded draws
+
+_CHUNK_WORDS = 1 << 14  # generator words parsed at a time, at most
 
 
-def _draw_representative(n1: int, n2: int, ctx: FieldCtx,
-                         rng: random.Random) -> tuple:
-    """(c, p, q): a scale and two distinct monic irreducibles."""
-    c = rng.randrange(1, ctx.N)
-    p = _draw_irreducible(n1, ctx, rng)
-    while True:
-        q = _draw_irreducible(n2, ctx, rng)
-        if not (n1 == n2 and p == q):
-            break
-    return c, p, q
+def _index_rows(v: np.ndarray, degree: int, N: int) -> np.ndarray:
+    """Coefficient rows of the monic poly_from_index(degree, v, N): the
+    base-N digits of v, most significant first, then the leading 1 (the
+    only column for degree 0)."""
+    digits = [v // N ** (degree - 1 - i) % N for i in range(degree)]
+    return np.column_stack([*(d.astype(np.int64) for d in digits),
+                            np.ones(len(v), dtype=np.int64)])
+
+
+class _Draw:
+    """One draw of the stream: rng.randrange(width), as random.Random makes
+    it, tried again until the value is valid.  Each attempt is
+    getrandbits(k), k the bit length of width: w = ceil(k/32) generator
+    words, little-endian, the last shifted right by 32 w - k, and it fails
+    when the value is not below width.  The scale c has width N-1 (and
+    offset 1); a polynomial of degree d >= 1 has width N^d, its value is
+    the index of a monic polynomial, and that must be irreducible:
+    FieldCtx.irreducible_mask decides every in-range attempt of a chunk at
+    once."""
+
+    def __init__(self, ctx: FieldCtx, degree: int | None):
+        self.ctx, self.degree = ctx, degree
+        self.width = ctx.order if degree is None else ctx.N ** degree
+        self.k = self.width.bit_length()
+        self.w = -(-self.k // 32)
+        valid = (self.width if degree is None
+                 else _irreducible_count(ctx, degree))
+        self.words = self.w * (1 << self.k) / valid  # expected per draw
+
+    def parse(self, words: np.ndarray, size: int) -> tuple:
+        """(value, nxt) on the positions 0..size-1 of a chunk of L words:
+        value[i] is the attempt begun at word i (-1 where it would run past
+        the chunk), nxt[i] the first position i + j w, j >= 0, whose
+        attempt is valid, or the end mark L + 1 if there is none."""
+        k, w = self.k, self.w
+        n = len(words) - w + 1
+        ws = words if k < 64 else words.astype(object)
+        v = ws[w - 1:] >> (32 * w - k)
+        for j in range(w - 2, -1, -1):
+            v = (v << 32) | ws[j:j + n]
+        ok = np.flatnonzero((v < self.width).astype(bool))
+        if k < 64:
+            v = v.astype(np.int64)
+        if self.degree is not None and self.degree >= 2:
+            rows = _index_rows(v[ok], self.degree, self.ctx.N)
+            ok = ok[self.ctx.irreducible_mask(rows[:, :-1])]
+        value = np.full(size, -1, dtype=v.dtype)
+        value[:n] = v
+        cand = np.full(-(-size // w) * w, len(words) + 1, dtype=np.int64)
+        cand[ok] = ok
+        # the least valid position at or after i in i's residue class mod w
+        cols = cand.reshape(-1, w)[::-1]
+        nxt = np.minimum.accumulate(cols, axis=0)[::-1].ravel()[:size]
+        return value, nxt
+
+
+def _draw_rows(n1: int, n2: int, ctx: FieldCtx, rng: random.Random,
+               count: int) -> np.ndarray:
+    """`count` rows (c, p, q) of coefficients, p and q lowest degree first
+    and monic, as enumerate_R's draw loop takes them from rng; rng ends in
+    the state that loop leaves it in.
+
+    The generator's words are read in chunks: getrandbits(32 L) is the next
+    L words, and after setstate, getrandbits(32 J) skips J of them.  Each
+    draw parses the chunk once (_Draw.parse), so for every word s at once
+    a representative begun at s takes its c at nxt_c[s], its p at
+    nxt_p[s_c + w_c] and its q after that (again while q = p), and the next
+    one begins at the word f(s) after it.  The representatives in the
+    chunk are the orbit of word 0 under f, found by pointer doubling; the
+    generator skips exactly the words they use, and the next chunk goes on
+    from there."""
+    if n1 == n2 and count_R(n1, n2, ctx) == 0:
+        raise ValueError(f"R_{n1},{n2} has no representatives to draw")
+    # the draws by degree (None: the scale c) and in stream order
+    kinds = {d: _Draw(ctx, d) for d in {None, n1, n2} if d != 0}
+    order = [None] + [d for d in (n1, n2) if d]
+    wmax = max(d.w for d in kinds.values())
+    per_row = sum(kinds[d].words for d in order)
+    rows = np.empty((count, n1 + n2 + 3), dtype=np.int64)
+    need, short = count, 0
+    while need > 0:
+        # the words the rows still needed are expected to take, and a margin
+        L = max(short, min(_CHUNK_WORDS, int(1.25 * need * per_row) + 32))
+        state = rng.getstate()
+        raw = rng.getrandbits(32 * L).to_bytes(4 * L, "little")
+        words = np.frombuffer(raw, dtype="<u4").astype(np.uint64)
+        rng.setstate(state)
+        end, size = L + 1, L + 2 + wmax
+        parsed = {d: kind.parse(words, size) for d, kind in kinds.items()}
+        s = np.arange(size)
+        picks = []
+        for i, d in enumerate(order):
+            value, nxt = parsed[d]
+            at = nxt[s]
+            if i == 2 and n1 == n2:  # q again while it equals p
+                p_at = picks[1]
+                redo = np.flatnonzero((at < end) & (value[at] == value[p_at]))
+                while len(redo):
+                    at[redo] = nxt[at[redo] + kinds[d].w]
+                    redo = redo[(at[redo] < end)
+                                & (value[at[redo]] == value[p_at[redo]])]
+            picks.append(at)
+            s = at + kinds[d].w
+        orbit, jump = np.zeros(1, dtype=np.int64), np.minimum(s, end)
+        while len(orbit) <= need and orbit[-1] != end:
+            orbit = np.concatenate([orbit, jump[orbit]])
+            jump = jump[jump]
+        done = min(need, int(np.count_nonzero(orbit[1:] != end)))
+        if done == 0:  # one representative outruns the chunk
+            short = 2 * L
+            continue
+        short = 0
+        starts = orbit[:done]
+        vals = iter(parsed[d][0][at[starts]] for d, at in zip(order, picks))
+        c = next(vals)
+        pq = [_index_rows(next(vals) if d else c, d, ctx.N) for d in (n1, n2)]
+        rows[count - need:count - need + done] = np.hstack([c[:, None] + 1,
+                                                            *pq])
+        rng.getrandbits(32 * int(orbit[done]))
+        need -= done
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +570,46 @@ class CrosscheckReport:
                 "mismatches": list(self.mismatches)}
 
 
+def check_crosscheck(p: int, k: int, m: int, trials: int,
+                     budget: int) -> None:
+    """Refuse a crosscheck over F_{(p^k)^m} before any field is built: a
+    field FieldCtx would refuse, no trials, or psi-hat matrices of
+    q^2 N = p^(k(m+2)) entries each above the budget."""
+    check_field(p, k, m)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    entries = p ** (k * (m + 2))
+    if entries > budget:
+        raise EnumerationBudgetExceeded(
+            f"q^2 * N = {entries} character-sum entries exceed alpha budget "
+            f"{budget}")
+
+
+def _divisors(n: FactoredInteger) -> list[int]:
+    """Every divisor of n, ascending."""
+    divs = [1]
+    for r, e in n.factors:
+        divs = [d * r ** i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
 def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int, *,
                         budget: int = DEFAULT_ALPHA_BUDGET) -> CrosscheckReport:
     """Random (f, a, b, l1, l2) tuples: the character-sum count must round
     to the brute-force integer every time.  Refused when q^2 N, the entry
     count of each f's psi-hat matrix, exceeds the budget."""
     from .characters import ChiPrecompute, count_via_characters
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if ctx.q ** 2 * ctx.N > budget:
-        raise EnumerationBudgetExceeded(
-            f"q^2 * N = {ctx.q ** 2 * ctx.N} character-sum entries exceed "
-            f"alpha budget {budget}")
+    check_crosscheck(ctx.p, ctx.k, ctx.m, trials, budget)
     rng = random.Random(seed)
-    divisors = [d for d in range(1, ctx.order + 1) if ctx.order % d == 0]
+    divisors = _divisors(ctx.group_factors)
     max_dev = 0.0
     mismatches = []
     pres: dict[RationalFunction, ChiPrecompute] = {}
     for _ in range(trials):
         n1, n2 = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
-        c, p, q = _draw_representative(n1, n2, ctx, rng)
-        f = RationalFunction(ctx, [ctx.mul(c, x) for x in p], q, check=False)
+        (c, *pq), = _draw_rows(n1, n2, ctx, rng, 1).tolist()
+        f = RationalFunction(ctx, [ctx.mul(c, x) for x in pq[:n1 + 1]],
+                             pq[n1 + 1:], check=False)
         if f not in pres:
             pres[f] = ChiPrecompute(f)
         a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)

@@ -52,7 +52,7 @@ from primpairs.verify import (
     count_table,
     crosscheck_identity,
     scan_exceptions,
-    _draw_representative,
+    _draw_rows,
 )
 
 # -- criterion 1: certificate table reproduction ----------------------------
@@ -205,9 +205,9 @@ def test_criterion_6_character_sum_bound(ctx_f4, ctx_f8, ctx_f9, ctx_f3_4,
         draws = 0
         while draws < 100:
             n1, n2 = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
-            c, num, den = _draw_representative(n1, n2, ctx, rng)
-            f = RationalFunction(ctx, [ctx.mul(c, x) for x in num], den,
-                                 check=False)
+            (c, *pq), = _draw_rows(n1, n2, ctx, rng, 1).tolist()
+            f = RationalFunction(ctx, [ctx.mul(c, x) for x in pq[:n1 + 1]],
+                                 pq[n1 + 1:], check=False)
             pre = ChiPrecompute(f)
             cap = chi_fab_bound(f)
             for _ in range(5):

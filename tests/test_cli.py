@@ -191,6 +191,22 @@ def test_crosscheck_budget_refuses_before_character_tables(capsys):
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize("argv", [("2", "11", "2", "1"),
+                                  ("2", "1", "22", "1")])
+def test_crosscheck_budget_refuses_before_building_the_field(capsys, argv):
+    # F_{2^22} is inside the dlog table limit, but q^2 * N is past the
+    # default budget: refused from p, k, m, with no 2^22-element context
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "crosscheck", *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "budget exceeded: q^2 * N =" in err
+    assert peak < 16 << 20
+
+
 def test_crosscheck_reads_budget_enum(capsys):
     # F_16 over F_2 needs q^2 * N = 64 entries: refused under a budget of
     # 50, and unchanged under the default

@@ -288,6 +288,24 @@ def test_quadratic_mask_against_generic_test(name):
     assert [is_irreducible_in_ctx(c, cs) for cs in polys] == irreducible
 
 
+@pytest.mark.parametrize("pkm, d, sample", [
+    ((2, 1, 1), 10, None), ((2, 1, 1), 9, None), ((3, 1, 1), 6, None),
+    ((5, 1, 1), 5, 400), ((2, 1, 2), 6, 400), ((2, 1, 2), 4, None),
+    ((3, 1, 2), 3, None), ((2, 1, 4), 3, 400), ((2, 2, 3), 3, 300),
+    ((3, 1, 7), 4, 60), ((2, 1, 12), 3, 200)])
+def test_irreducible_mask_against_generic_test(pkm, d, sample):
+    # prime, prime-power and composite degrees in both characteristics and
+    # over a tower: every monic polynomial of degree d, or a sample
+    c = build_ctx(*pkm)
+    rng = random.Random(d)
+    ns = (range(c.N ** d) if sample is None
+          else [rng.randrange(c.N ** d) for _ in range(sample)])
+    polys = [poly_from_index(d, n, c.N) for n in ns]
+    low = np.array([cs[:-1] for cs in polys], dtype=np.int64)
+    assert c.irreducible_mask(low).tolist() == [
+        is_irreducible_poly(c, cs) for cs in polys]
+
+
 @pytest.mark.parametrize("name", QUAD_FIELDS)
 def test_find_irreducibles_degree2_is_filtered_canonical_stream(name):
     c, polys, irreducible = _quadratics(name)

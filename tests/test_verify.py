@@ -4,6 +4,7 @@ character-sum crosscheck."""
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from primpairs.ff import (
     RationalFunction,
     build_ctx,
     find_irreducibles,
+    is_irreducible_in_ctx,
     poly_eval,
+    poly_from_index,
 )
 from primpairs.refdata import load_certificate_rows
 from primpairs.verify import (
@@ -151,6 +154,87 @@ def test_sampled_representatives_validate(F64):
         for f in functions(F64, enumerate_R(n1, n2, F64, count=10, seed=5)):
             assert f.degrees == (n1, n2)
             RationalFunction(F64, f.num, f.den)
+
+
+def _draw_irreducible(degree, ctx, rng):
+    if degree == 0:
+        return (1,)
+    if degree == 1:
+        return (rng.randrange(ctx.N), 1)
+    while True:
+        cs = poly_from_index(degree, rng.randrange(ctx.N ** degree), ctx.N)
+        if is_irreducible_in_ctx(ctx, cs):
+            return cs
+
+
+def _draw_representative(n1, n2, ctx, rng):
+    """The scalar draw loop enumerate_R's stream is defined by: the oracle
+    the numpy replay is tested against."""
+    c = rng.randrange(1, ctx.N)
+    p = _draw_irreducible(n1, ctx, rng)
+    while True:
+        q = _draw_irreducible(n2, ctx, rng)
+        if not (n1 == n2 and p == q):
+            break
+    return (c, *p, *q)
+
+
+@pytest.mark.parametrize("pkm, counts", [
+    ((2, 1, 1), (1, 2, 1000)), ((2, 2, 1), (1, 2, 1000)),
+    ((3, 1, 2), (1, 2, 1000)), ((3, 2, 2), (1, 2, 1000)),
+    ((2, 1, 12), (1, 2, 50))])
+def test_draw_rows_replay_the_scalar_draw_loop(pkm, counts):
+    # same rows and same final generator state as the scalar loop, on every
+    # split of n = 2 and n = 3: F_2 still spends words on randrange(1, 2),
+    # F_{2^12} draws cubics of 37 bits (two words an attempt; its 1000-draw
+    # stream is pinned by test_sampled_draw_stream_is_pinned)
+    ctx = build_ctx(*pkm)
+    for n1, n2 in splits_of(2) + splits_of(3):
+        for count in counts:
+            seed = 100 * n1 + 10 * n2 + count
+            got, want = random.Random(seed), random.Random(seed)
+            rows = V._draw_rows(n1, n2, ctx, got, count)
+            assert rows.tolist() == [
+                list(_draw_representative(n1, n2, ctx, want))
+                for _ in range(count)], (n1, n2, count)
+            assert got.getstate() == want.getstate()
+
+
+def test_draw_rows_continue_a_shared_generator(F9):
+    # crosscheck_identity interleaves one-row draws with its own calls on
+    # the same generator
+    got, want = random.Random(3), random.Random(3)
+    for n1, n2 in [(1, 1), (2, 0), (0, 2), (1, 1), (2, 0)] * 4:
+        assert got.randrange(9) == want.randrange(9)
+        row, = V._draw_rows(n1, n2, F9, got, 1).tolist()
+        assert row == list(_draw_representative(n1, n2, F9, want))
+    assert got.getstate() == want.getstate()
+
+
+def test_draw_rows_refuse_an_empty_split():
+    # over F_2 there is one irreducible quadratic, so no p/q of split (2, 2)
+    with pytest.raises(ValueError, match="no representatives"):
+        next(enumerate_R(2, 2, build_ctx(2, 1, 1), count=1, seed=0))
+
+
+def test_sampled_draw_stream_is_pinned():
+    # every sampled verdict is verified_sampled whatever its rows, so the
+    # rows themselves are pinned: 1000 draws per split at seeds 0 and 1 on
+    # the sampled fields, F_{9^2} and F_{5^3} (n = 2), and the cubic splits
+    # of F_{2^12} and F_{2^7}.  The digest was taken from the scalar loop.
+    fields = [(q, 1, m) for q, m in SAMPLED_PAIRS]  # every q is prime
+    cases = ([(pkm, s) for pkm in fields + [(3, 2, 2), (5, 1, 3)]
+              for s in splits_of(2)]
+             + [((2, 1, m), s) for m in (12, 7) for s in ((3, 0), (0, 3))])
+    h = hashlib.sha256()
+    for pkm, (n1, n2) in cases:
+        ctx = build_ctx(*pkm)
+        for seed in (0, 1):
+            (num, den), = enumerate_R(n1, n2, ctx, count=1000, seed=seed)
+            h.update(np.asarray(num, dtype="<i8").tobytes())
+            h.update(np.asarray(den, dtype="<i8").tobytes())
+    assert h.hexdigest() == (
+        "915fb0a926f2bd815ec29b0a816c6cd660efd539ba51e4226bcd5b2085fc29f7")
 
 
 # -- brute-force counts -----------------------------------------------------
@@ -509,6 +593,13 @@ def test_crosscheck_reproducible(F9):
     a = crosscheck_identity(F9, 15, seed=3)
     b = crosscheck_identity(F9, 15, seed=3)
     assert a.serialize() == b.serialize()
+
+
+def test_divisors_from_group_factors(F9, F64, F81):
+    # crosscheck_identity's rng.choice needs them in ascending order
+    for ctx in (F9, F64, F81, build_ctx(2, 1, 12)):
+        assert V._divisors(ctx.group_factors) == [
+            d for d in range(1, ctx.N) if ctx.order % d == 0]
 
 
 def test_trace_only_crosscheck_is_near_exact(F81):
