@@ -348,6 +348,8 @@ def factor_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
     """Factor q**m - 1 through its cyclotomic splitting
     q^m - 1 = prod_{d|m} Phi_d(q); each part is much smaller than the
     whole, and parts recur across m (Phi_1(q) = q - 1 for every m)."""
+    if m < 1:
+        raise ValueError("m must be positive")
     out = FactoredInteger(1, ())
     for d in _divisors_of(m):
         out = merge_factored(out, _factor_part(cyclotomic_value(d, q), d, cache, budget))

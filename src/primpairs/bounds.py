@@ -167,6 +167,8 @@ def certificate_search(q: int, m: int, n: int, *,
     """First passing certificate over l_radical drawn from subsets of the
     six smallest primes of q^m-1, smaller W(l) first, then smaller l."""
     prime_power(q)  # ValueError unless q is a prime power
+    if n < 1:
+        raise ValueError("q >= 2, n >= 1, W >= 1 required")
     group = factor_qm_minus_1(q, m, cache=cache, budget=budget)
     head = group.primes[: min(len(group.primes), 6)]
     for size in range(len(head) + 1):

@@ -27,7 +27,10 @@ c1 != 0 and Tr_{F/F_2}(c0 / c1^2) = 1 (Artin-Schreier, after the substitution
 x = c1 y).  No table of quadratics is kept.  FieldCtx.irreducible_mask
 decides a block of monic polynomials of any degree at once: quadratics so,
 higher degrees by the same Frobenius criterion as is_irreducible_poly, on
-code arrays.
+code arrays.  It is the one irreducibility test over a FieldCtx:
+find_irreducibles streams it over blocks of canonical indices, and
+is_irreducible_in_ctx takes it on one row.  The scalar is_irreducible_poly
+serves the table-free prime field in first_irreducible.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .arith import (
 )
 
 DLOG_LIMIT = 1 << 22
+_BLOCK_POLYS = 1 << 16  # canonical indices find_irreducibles tests at once
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -151,6 +155,15 @@ def poly_from_index(d: int, n: int, Q: int) -> tuple:
     for i in range(d - 1, -1, -1):
         coeffs.append((n // Q ** i) % Q)
     return tuple(coeffs) + (1,)
+
+
+def poly_rows_from_index(d: int, v: np.ndarray, Q: int) -> np.ndarray:
+    """poly_from_index on an index array v: a row per index, its base-Q
+    digits, most significant first, then the leading 1 (the only column
+    for degree 0)."""
+    digits = [v // Q ** (d - 1 - i) % Q for i in range(d)]
+    return np.column_stack([*(c.astype(np.int64) for c in digits),
+                            np.ones(len(v), dtype=np.int64)])
 
 
 def poly_index(cs, Q: int) -> int:
@@ -499,9 +512,8 @@ class FieldCtx(_CodeField):
         scalars, broadcast together).  Odd q: the discriminant c1^2 - 4 c0
         is 0 or has even dlog.  Characteristic 2: c1 = 0, or
         Tr_{F/F_2}(c0 / c1^2) = 0; with inv(0) = 0 the first case is the
-        trace of 0.  Two Python ints take the scalar mul."""
-        scalar = isinstance(c0, int) and isinstance(c1, int)
-        mul = self.mul if scalar else self.varr_mul
+        trace of 0."""
+        mul = self.varr_mul
         if self.p == 2:
             t = mul(c0, self.inv_t[mul(c1, c1)])
             return self.trace_abs_t[self.trace_t[t]] == 0
@@ -751,38 +763,29 @@ class RationalFunction:
 
 
 def is_irreducible_in_ctx(ctx: FieldCtx, poly: tuple) -> bool:
-    """Irreducibility over the big field of poly, monic or not.  Degrees 0
-    and 1 return True."""
-    d = len(poly) - 1
-    if d in (0, 1):
+    """Irreducibility over the big field of poly, monic or not: the
+    irreducible_mask row of its monic multiple.  Degree 0 returns True."""
+    if len(poly) < 2:
         return True
-    lead = poly[-1]
-    monic = poly if lead == 1 else tuple(
-        ctx.mul(c, ctx.inv(lead)) for c in poly)
-    if d == 2:
-        return not ctx.quad_reducible_mask(monic[0], monic[1])
-    return is_irreducible_poly(ctx, monic)
+    inv = ctx.inv(poly[-1])
+    low = [ctx.mul(c, inv) for c in poly[:-1]]
+    return bool(ctx.irreducible_mask([low])[0])
 
 
 def find_irreducibles(degree: int, ctx: FieldCtx):
     """Stream every monic irreducible of the given degree over F_{q^m} in
-    canonical order."""
+    canonical order: the canonical indices in blocks of _BLOCK_POLYS, each
+    block decided by one irreducible_mask call."""
     if degree < 1:
         raise ValueError("degree must be positive")
     N = ctx.N
-    if degree == 1:
-        for c in range(N):
-            yield (c, 1)
-        return
-    if degree == 2:
-        # c0 is the most significant digit of the canonical order: one row
-        # of fixed c0 at a time keeps that order in O(N) memory
-        c1 = np.arange(N, dtype=np.int64)
-        for c0 in range(N):
-            for b in np.flatnonzero(~ctx.quad_reducible_mask(c0, c1)):
-                yield (c0, int(b), 1)
-        return
-    for n in range(N ** (degree - 1), N ** degree):
-        cand = poly_from_index(degree, n, N)
-        if is_irreducible_poly(ctx, cand):
-            yield cand
+    end = N ** degree
+    # a zero constant term is a root at 0, so for degree >= 2 skip that
+    # whole leading block of the canonical order
+    start = 0 if degree == 1 else N ** (degree - 1)
+    dtype = np.int64 if end <= 1 << 63 else object
+    for lo in range(start, end, _BLOCK_POLYS):
+        v = np.arange(lo, min(lo + _BLOCK_POLYS, end), dtype=dtype)
+        rows = poly_rows_from_index(degree, v, N)
+        keep = ctx.irreducible_mask(rows[:, :-1])
+        yield from zip(*rows[keep].T.tolist())

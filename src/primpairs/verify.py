@@ -54,6 +54,7 @@ from .ff import (
     build_ctx,
     check_field,
     find_irreducibles,
+    poly_rows_from_index,
 )
 
 DEFAULT_ALPHA_BUDGET = 1 << 20  # exhaustive alpha-loops up to this field size
@@ -150,15 +151,6 @@ def enumerate_R(n1: int, n2: int, ctx: FieldCtx, *,
 _CHUNK_WORDS = 1 << 14  # generator words parsed at a time, at most
 
 
-def _index_rows(v: np.ndarray, degree: int, N: int) -> np.ndarray:
-    """Coefficient rows of the monic poly_from_index(degree, v, N): the
-    base-N digits of v, most significant first, then the leading 1 (the
-    only column for degree 0)."""
-    digits = [v // N ** (degree - 1 - i) % N for i in range(degree)]
-    return np.column_stack([*(d.astype(np.int64) for d in digits),
-                            np.ones(len(v), dtype=np.int64)])
-
-
 class _Draw:
     """One draw of the stream: rng.randrange(width), as random.Random makes
     it, tried again until the value is valid.  Each attempt is
@@ -194,7 +186,7 @@ class _Draw:
         if k < 64:
             v = v.astype(np.int64)
         if self.degree is not None and self.degree >= 2:
-            rows = _index_rows(v[ok], self.degree, self.ctx.N)
+            rows = poly_rows_from_index(self.degree, v[ok], self.ctx.N)
             ok = ok[self.ctx.irreducible_mask(rows[:, :-1])]
         value = np.full(size, -1, dtype=v.dtype)
         value[:n] = v
@@ -265,7 +257,8 @@ def _draw_rows(n1: int, n2: int, ctx: FieldCtx, rng: random.Random,
         starts = orbit[:done]
         vals = iter(parsed[d][0][at[starts]] for d, at in zip(order, picks))
         c = next(vals)
-        pq = [_index_rows(next(vals) if d else c, d, ctx.N) for d in (n1, n2)]
+        pq = [poly_rows_from_index(d, next(vals) if d else c, ctx.N)
+              for d in (n1, n2)]
         rows[count - need:count - need + done] = np.hstack([c[:, None] + 1,
                                                             *pq])
         rng.getrandbits(32 * int(orbit[done]))

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import pytest
@@ -37,6 +38,45 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = seen.get(num, "not run")
         terminalreporter.write_line(
             f"criterion {num}: {status} - {CRITERIA[num]}")
+
+
+class TabledField:
+    """A small context's scalar field arithmetic read from Python lists:
+    the same codes and results as its own add, sub, mul, neg and inv,
+    several times faster for scalar oracles such as is_irreducible_poly."""
+
+    def __init__(self, ctx):
+        self.card = self.N = ctx.N
+        codes = range(ctx.N)
+        self._add = [[ctx.add(a, b) for b in codes] for a in codes]
+        self._mul = [[ctx.mul(a, b) for b in codes] for a in codes]
+        self._neg = [ctx.neg(a) for a in codes]
+        self._inv = [None] + [ctx.inv(a) for a in codes[1:]]
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def sub(self, a, b):
+        return self._add[a][self._neg[b]]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self._inv[a]
+
+
+@pytest.fixture(scope="session")
+def scalar_field():
+    """ctx -> the field scalar oracles run on: a TabledField for at most
+    256 elements (built once per context), ctx itself above that."""
+    tabled = functools.cache(TabledField)
+    return lambda ctx: tabled(ctx) if ctx.N <= 256 else ctx
 
 
 @pytest.fixture(scope="session")

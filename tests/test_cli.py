@@ -267,6 +267,23 @@ def test_table1_refuses_n_below_one(capsys):
     assert (code, out, err) == (3, "", "invalid input: n must be positive\n")
 
 
+@pytest.mark.parametrize("command", ["check", "sieve", "verify"])
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_m_below_one_is_invalid(capsys, command, m):
+    # q^m - 1 has no cyclotomic parts to factor (m = 0 once ended in an
+    # AssertionError, m = -3 in an isqrt message)
+    code, out, err = run(capsys, command, "2", m, "2")
+    assert (code, out, err) == (3, "", "invalid input: m must be positive\n")
+
+
+@pytest.mark.parametrize("argv", [("2", "8", "-2"), ("3", "7", "0")])
+def test_sieve_refuses_n_below_one(capsys, argv):
+    # (n + 2) Delta W^2 is 0 at n = -2: no certificate may pass on it
+    code, out, err = run(capsys, "sieve", *argv)
+    assert (code, out, err) == (
+        3, "", "invalid input: q >= 2, n >= 1, W >= 1 required\n")
+
+
 def test_crosscheck_ok(capsys):
     code, out, _ = run(capsys, "crosscheck", "3", "1", "2", "12", "--seed", "4")
     blob = json.loads(out)

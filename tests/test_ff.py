@@ -270,19 +270,20 @@ QUAD_FIELDS = {"F4": (2, 1, 2), "F8": (2, 1, 3), "F9": (3, 1, 2),
 
 
 @functools.cache
-def _quadratics(name):
+def _quadratics(name, scalar_field):
     """A context, its N^2 monic quadratics in canonical order, and the
     Frobenius verdict on each."""
     c = build_ctx(*QUAD_FIELDS[name])
+    F = scalar_field(c)
     polys = [poly_from_index(2, n, c.N) for n in range(c.N ** 2)]
-    return c, polys, [is_irreducible_poly(c, cs) for cs in polys]
+    return c, polys, [is_irreducible_poly(F, cs) for cs in polys]
 
 
 @pytest.mark.parametrize("name", QUAD_FIELDS)
-def test_quadratic_mask_against_generic_test(name):
+def test_quadratic_mask_against_generic_test(name, scalar_field):
     # the discriminant / trace criterion and the Frobenius test must agree
     # on every monic quadratic
-    c, polys, irreducible = _quadratics(name)
+    c, polys, irreducible = _quadratics(name, scalar_field)
     c0, c1 = np.array([cs[:2] for cs in polys]).T
     assert (~c.quad_reducible_mask(c0, c1)).tolist() == irreducible
     assert [is_irreducible_in_ctx(c, cs) for cs in polys] == irreducible
@@ -307,10 +308,47 @@ def test_irreducible_mask_against_generic_test(pkm, d, sample):
 
 
 @pytest.mark.parametrize("name", QUAD_FIELDS)
-def test_find_irreducibles_degree2_is_filtered_canonical_stream(name):
-    c, polys, irreducible = _quadratics(name)
+def test_find_irreducibles_degree2_is_filtered_canonical_stream(
+        name, scalar_field):
+    c, polys, irreducible = _quadratics(name, scalar_field)
     assert list(find_irreducibles(2, c)) == [
         cs for cs, ok in zip(polys, irreducible) if ok]
+
+
+def _scalar_filter(F, d, start=0):
+    """What find_irreducibles must yield: the monic polynomials of degree
+    d in canonical order from index start on, kept where
+    is_irreducible_poly holds."""
+    return (cs for n in range(start, F.N ** d)
+            if is_irreducible_poly(F, cs := poly_from_index(d, n, F.N)))
+
+
+@pytest.mark.parametrize("pkm", [(2, 1, 1), (2, 1, 2), (3, 1, 2)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_find_irreducibles_is_filtered_canonical_stream(pkm, d, scalar_field,
+                                                        monkeypatch):
+    # F_2, F_4 and F_9; with blocks of 100 indices the walk also crosses
+    # block boundaries and ends on a partial block
+    c = build_ctx(*pkm)
+    want = list(_scalar_filter(scalar_field(c), d))
+    assert list(find_irreducibles(d, c)) == want
+    monkeypatch.setattr(ff, "_BLOCK_POLYS", 100)
+    assert list(find_irreducibles(d, c)) == want
+
+
+def test_find_irreducibles_first_cubics_over_f128(scalar_field):
+    # the walk starts at N^2, past the cubics with a root at 0
+    c = build_ctx(2, 1, 7)
+    want = list(islice(_scalar_filter(scalar_field(c), 3, c.N ** 2), 2000))
+    assert list(islice(find_irreducibles(3, c), 2000)) == want
+
+
+def test_find_irreducibles_past_int64_indices(scalar_field, monkeypatch):
+    # over F_{2^8} the walk of degree 9 starts at index 2^64, past int64
+    c = build_ctx(2, 1, 8)
+    monkeypatch.setattr(ff, "_BLOCK_POLYS", 10)
+    want = list(islice(_scalar_filter(scalar_field(c), 9, c.N ** 8), 3))
+    assert list(islice(find_irreducibles(9, c), 3)) == want
 
 
 def test_quadratic_irreducibility_needs_no_table(ctx_f3_7):

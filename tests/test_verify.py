@@ -21,7 +21,7 @@ from primpairs.ff import (
     RationalFunction,
     build_ctx,
     find_irreducibles,
-    is_irreducible_in_ctx,
+    is_irreducible_poly,
     poly_eval,
     poly_from_index,
 )
@@ -156,24 +156,26 @@ def test_sampled_representatives_validate(F64):
             RationalFunction(F64, f.num, f.den)
 
 
-def _draw_irreducible(degree, ctx, rng):
+def _draw_irreducible(degree, F, rng):
     if degree == 0:
         return (1,)
     if degree == 1:
-        return (rng.randrange(ctx.N), 1)
+        return (rng.randrange(F.N), 1)
     while True:
-        cs = poly_from_index(degree, rng.randrange(ctx.N ** degree), ctx.N)
-        if is_irreducible_in_ctx(ctx, cs):
+        cs = poly_from_index(degree, rng.randrange(F.N ** degree), F.N)
+        if is_irreducible_poly(F, cs):
             return cs
 
 
-def _draw_representative(n1, n2, ctx, rng):
-    """The scalar draw loop enumerate_R's stream is defined by: the oracle
-    the numpy replay is tested against."""
-    c = rng.randrange(1, ctx.N)
-    p = _draw_irreducible(n1, ctx, rng)
+def _draw_representative(n1, n2, F, rng):
+    """The scalar draw loop enumerate_R's stream is defined by, over a
+    context or its TabledField F: the oracle the numpy replay is tested
+    against.  Its irreducibility test is the scalar is_irreducible_poly,
+    not the FieldCtx.irreducible_mask the replay runs."""
+    c = rng.randrange(1, F.N)
+    p = _draw_irreducible(n1, F, rng)
     while True:
-        q = _draw_irreducible(n2, ctx, rng)
+        q = _draw_irreducible(n2, F, rng)
         if not (n1 == n2 and p == q):
             break
     return (c, *p, *q)
@@ -183,7 +185,7 @@ def _draw_representative(n1, n2, ctx, rng):
     ((2, 1, 1), (1, 2, 1000)), ((2, 2, 1), (1, 2, 1000)),
     ((3, 1, 2), (1, 2, 1000)), ((3, 2, 2), (1, 2, 1000)),
     ((2, 1, 12), (1, 2, 50))])
-def test_draw_rows_replay_the_scalar_draw_loop(pkm, counts):
+def test_draw_rows_replay_the_scalar_draw_loop(pkm, counts, scalar_field):
     # same rows and same final generator state as the scalar loop, on every
     # split of n = 2 and n = 3: F_2 still spends words on randrange(1, 2),
     # F_{2^12} draws cubics of 37 bits (two words an attempt; its 1000-draw
@@ -195,7 +197,7 @@ def test_draw_rows_replay_the_scalar_draw_loop(pkm, counts):
             got, want = random.Random(seed), random.Random(seed)
             rows = V._draw_rows(n1, n2, ctx, got, count)
             assert rows.tolist() == [
-                list(_draw_representative(n1, n2, ctx, want))
+                list(_draw_representative(n1, n2, scalar_field(ctx), want))
                 for _ in range(count)], (n1, n2, count)
             assert got.getstate() == want.getstate()
 
@@ -491,6 +493,22 @@ def test_resolve_exhaustive_gate():
     v = resolve_pair(2, 5, 2)
     assert v.status == "verified_exhaustive"
     assert v.coverage == "all 61504 representatives, all trace pairs"
+
+
+def test_resolve_exhaustive_cubic_splits():
+    # n = 3 walks every monic irreducible cubic over F_{2^5}
+    v = resolve_pair(2, 5, 3)
+    assert v.status == "verified_exhaustive"
+    assert v.coverage == "all 1660608 representatives, all trace pairs"
+
+
+@pytest.mark.parametrize("q, m, num", [(2, 4, [1, 0, 1, 1]),
+                                       (3, 3, [1, 0, 3, 1])])
+def test_resolve_cubic_witnesses_are_pinned(q, m, num):
+    v = resolve_pair(q, m, 3)
+    assert v.status == "exception_witness"
+    assert v.witness == {"f": {"num": num, "den": [1]},
+                         "a": 0, "b": 0, "split": [3, 0]}
 
 
 def test_resolve_verdicts_do_not_depend_on_block_size(monkeypatch):
