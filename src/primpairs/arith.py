@@ -4,13 +4,18 @@ Everything here is deterministic.  Factoring trial-divides by the primes
 below 10**6 that can divide the number (p = 1 mod d or p | d for a part
 Phi_d(q) of q**m - 1) behind prime-product gcds, then runs Brent's Pollard
 rho with a fixed parameter sequence.  Primality is Miller-Rabin with the
-deterministic 12-witness set below 2**64 and fixed prime witnesses above.
+first 12 prime witnesses, proven below psi_12 ~ 3.2e23, and the first 24
+primes from psi_12 on.
 
 The quantities of interest downstream are the group orders q**m - 1 and
 their derived multiplicative functions: omega (distinct prime count),
 W = 2**omega (squarefree divisor count), phi and mu.  Where only W
-matters, `omega_bounds_qm_minus_1` brackets omega(q**m - 1) by trial
-division alone, so Pollard rho runs only when the bracket is not enough.
+matters, `omega_bounds_row` brackets omega(q**m - 1) for a row of q
+without Pollard rho, so rho runs only when the bracket is not enough.  A
+long row finds the small primes of all its parts Phi_d(q) at once by a
+root sieve: for p not dividing d, p | Phi_d(q) exactly when q mod p is a
+primitive d-th root of unity mod p, so each root marks the q of the row
+in one residue class.  It gives the same split as trial division.
 Cached factorizations are checked on read (primes prime, product equal to
 the key), so a corrupt cache file costs time, never a wrong W.
 
@@ -31,10 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 TRIAL_LIMIT = 10 ** 6
+#: Rows of at least this many q split their parts by root sieve; shorter
+#: rows trial-divide each part, which is cheaper than finding the roots.
+_ROW_SIEVE_MIN = 512
+_SIEVE_BLOCK = 4096  # about this many candidates per array of the root sieve
 DEFAULT_FACTOR_BUDGET = 50_000_000  # Pollard rho iterations per factor() call
 
 
@@ -78,14 +88,19 @@ def nth_primes(k: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # primality
 
-_MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES_12 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: psi_12, the least strong pseudoprime to every base in _MR_WITNESSES_12
+#: (Sorenson and Webster, Math. Comp. 86 (2017)); below it those twelve
+#: bases decide primality.
+_PSI_12 = 318665857834031151167461
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def is_probable_prime(n: int, rounds: int = 24) -> bool:
-    """Miller-Rabin.  Deterministic below 2**64 (first-12-prime witness
-    set); above that, the first `rounds` primes serve as witnesses, which
-    keeps results reproducible."""
+    """Miller-Rabin.  Deterministic below psi_12 = 318665857834031151167461
+    (the first-12-prime witness set, proven there); from psi_12 on, the
+    first `rounds` primes serve as witnesses, which keeps results
+    reproducible."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -96,7 +111,7 @@ def is_probable_prime(n: int, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    witnesses = _MR_WITNESSES_64 if n < 2 ** 64 else tuple(nth_primes(rounds))
+    witnesses = _MR_WITNESSES_12 if n < _PSI_12 else tuple(nth_primes(rounds))
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -157,6 +172,143 @@ def _trial_divide(n: int, d: int = 1) -> tuple[dict[int, int], int]:
                 if g == 1:
                     break
     return fac, rem
+
+
+def _divide_out(n: int, primes) -> tuple[dict[int, int], int]:
+    """Split n >= 1 into {p: e} over those of `primes` that divide it and
+    the cofactor, by repeated division."""
+    fac: dict[int, int] = {}
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            fac[p] = e
+    return fac, n
+
+
+def _pow_mod(base: np.ndarray, exp, p: np.ndarray) -> np.ndarray:
+    """base**exp mod p elementwise in int64, for p < 2**31 and exponents
+    (an array like p, or one int) >= 0."""
+    out = np.ones_like(p)
+    base = base % p
+    exp = np.array(np.broadcast_to(exp, p.shape))
+    while exp.any():
+        out = np.where(exp & 1 == 1, out * base % p, out)
+        base = base * base % p
+        exp >>= 1
+    return out
+
+
+def _sieve_blocks(d: int, qmax: int) -> Iterator[np.ndarray]:
+    """The primes p = 1 (mod d) below TRIAL_LIMIT (p <= qmax + 1 for
+    d <= 2), none of which divides d, in int64 blocks of about
+    _SIEVE_BLOCK candidate q <= qmax per root: p counts qmax // p + 1.
+    Each block comes from one slice of the prime table, so no array spans
+    all of it."""
+    ps = _trial_primes()
+    if d <= 2:
+        ps = ps[: np.searchsorted(ps, qmax + 1, side="right")]
+    # about one prime in phi(d) is 1 (mod d)
+    step = _SIEVE_BLOCK * sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+    for i in range(0, len(ps), step):
+        p = ps[i : i + step]
+        p = p[p % d == 1 % d].astype(np.int64)
+        if len(p):
+            load = np.cumsum(qmax // p + 1)
+            cuts = np.arange(_SIEVE_BLOCK, load[-1], _SIEVE_BLOCK)
+            yield from (b for b in np.split(p, np.searchsorted(load, cuts))
+                        if len(b))
+
+
+def _roots_of_unity(d: int, p: np.ndarray) -> np.ndarray:
+    """An element of order d mod p, for each p = 1 (mod d) of the block.
+
+    For d <= 2 that is 1 or -1.  For d >= 3, x = a**((p-1)/d) has order
+    dividing d, and exactly d when x**(d/l) != 1 for every prime l | d;
+    a = 2, 3, ... is tried until it is."""
+    if d <= 2:
+        return np.ones_like(p) if d == 1 else p - 1
+    ells = [ell for ell in primes_upto(d) if d % ell == 0]
+    x = np.zeros_like(p)
+    todo = np.arange(len(p))
+    for a in count(2):
+        pt = p[todo]
+        cand = _pow_mod(np.full_like(pt, a), (pt - 1) // d, pt)
+        ok = np.ones(len(todo), dtype=bool)
+        for ell in ells:
+            ok &= _pow_mod(cand, d // ell, pt) != 1
+        x[todo[ok]] = cand[ok]
+        todo = todo[~ok]
+        if not len(todo):
+            return x
+
+
+def _progressions(r: np.ndarray, p: np.ndarray, qmax: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(q, p) with q = r + j*p <= qmax, j >= 0, over the pairs (r, p)."""
+    low = r <= qmax
+    r, p = r[low], p[low]
+    reps = (qmax - r) // p + 1
+    start = np.cumsum(reps) - reps
+    p = np.repeat(p, reps)
+    j = np.arange(len(p)) - np.repeat(start, reps)
+    return np.repeat(r, reps) + j * p, p
+
+
+def _root_sieve(d: int, qs: list[int]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The primes p of table d, p not dividing d, that divide Phi_d(q) for
+    the q >= 2 of the row qs, as (p, lo, hi): those of qs[i] are
+    p[lo[i]:hi[i]], ascending.
+
+    For p not dividing d, p | Phi_d(q) exactly when q has order d mod p,
+    that is, when q mod p is a primitive d-th root of unity; such roots
+    exist only for p = 1 (mod d), and they are the powers x**k,
+    gcd(k, d) = 1, of one of them.  For d <= 2 the one root is 1 or -1,
+    and p <= q + 1.  Each root r <= max(qs) marks the q = r + j*p of the
+    row.  Primes come a block at a time and roots one power at a time, so
+    an array holds about _SIEVE_BLOCK values (or the progression of one
+    small p), and hits are kept only for the q of the row."""
+    qmax = max(qs)
+    in_row = np.zeros(qmax + 1, dtype=bool)
+    in_row[list(qs)] = True
+    hit_q, hit_p = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for p in _sieve_blocks(d, qmax):
+        x = xk = _roots_of_unity(d, p)
+        for k in range(1, d + 1):
+            if math.gcd(k, d) == 1:
+                q, pq = _progressions(xk, p, qmax)
+                hit = in_row[q]
+                hit_q.append(q[hit])
+                hit_p.append(pq[hit])
+            xk = xk * x % p
+    q, p = np.concatenate(hit_q), np.concatenate(hit_p)
+    order = np.lexsort((p, q))
+    q = q[order]
+    return (p[order], np.searchsorted(q, qs, side="left"),
+            np.searchsorted(q, qs, side="right"))
+
+
+class _RowSieve:
+    """Table-d splits of the parts Phi_d(q) of one row of q, from one
+    _root_sieve per d over the whole row, run when a part first needs it
+    (a part read from the cache needs none)."""
+
+    def __init__(self, qs: list[int]):
+        self.qs = qs
+        self._hits: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def split(self, i: int, n: int, d: int) -> tuple[dict[int, int], int]:
+        """_trial_divide(n, d) for n = Phi_d(qs[i]); the primes dividing d
+        are tested directly."""
+        hits = self._hits.get(d)
+        if hits is None:
+            hits = self._hits[d] = _root_sieve(d, self.qs)
+        p, lo, hi = hits
+        return _divide_out(n, p[lo[i] : hi[i]].tolist()
+                           + [ell for ell in primes_upto(d) if d % ell == 0])
 
 
 def _perfect_power(n: int) -> tuple[int, int]:
@@ -298,16 +450,17 @@ def _factor_part(n: int, d: int, cache: "FactorCache | None",
     return result
 
 
-def _split_part(n: int, d: int, cache: "FactorCache | None"
-                ) -> tuple[dict[int, int], int]:
+def _split_part(n: int, d: int, cache: "FactorCache | None",
+                divide=None) -> tuple[dict[int, int], int]:
     """Split n >= 1 (a value of Phi_d if d > 1) into {p: e} and a cofactor
     that is 1 or composite, from the cache or by trial division by table d
-    and a primality test on what is left.  A split with no composite
-    cofactor is the whole factorization, and it is cached."""
+    (or `divide(n, d)`, a root sieve's split) and a primality test on what
+    is left.  A split with no composite cofactor is the whole
+    factorization, and it is cached."""
     hit = cache.get(n) if cache is not None else None
     if hit is not None:
         return dict(hit), 1
-    fac, rem = _trial_divide(n, d)
+    fac, rem = (_trial_divide if divide is None else divide)(n, d)
     if rem > 1 and not is_probable_prime(rem):
         return fac, rem
     if rem > 1:
@@ -359,11 +512,27 @@ def factor_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
 
 def omega_bounds_qm_minus_1(q: int, m: int, *,
                             cache: "FactorCache | None" = None) -> tuple[int, int]:
-    """(lo, hi) with lo <= omega(q**m - 1) <= hi, from trial division alone.
+    """(lo, hi) with lo <= omega(q**m - 1) <= hi, from trial division alone:
+    the one-q case of omega_bounds_row."""
+    return next(omega_bounds_row([q], m, cache=cache))
 
-    Each part Phi_d(q), d | m, is read from the cache or trial-divided by
-    table d, which holds every prime below TRIAL_LIMIT that can divide it
-    (for p not dividing d, q has order d mod p, so d | p - 1).  A cofactor
+
+def omega_bounds_row(qs: list[int], m: int, *,
+                     cache: "FactorCache | None" = None
+                     ) -> Iterator[tuple[int, int]]:
+    """(lo, hi) with lo <= omega(q**m - 1) <= hi for each q >= 2 of the row
+    qs in turn, yielded lazily, so the cache reads and writes of each q
+    happen before the caller acts on its bracket.
+
+    Each part Phi_d(q), d | m, is read from the cache or split by table d,
+    which holds every prime below TRIAL_LIMIT that can divide it: for p not
+    dividing d, p | Phi_d(q) exactly when q has order d mod p, so d | p - 1.
+    A row of at least _ROW_SIEVE_MIN q finds these primes for all its parts
+    at once by a root sieve: p = 1 (mod d) divides Phi_d(q) when q mod p is
+    a primitive d-th root of unity (the same criterion), and the primes
+    dividing d are tested directly, so it finds the same primes as table d,
+    each exponent by repeated division.  A shorter row trial-divides each
+    part, cheaper there than finding the roots.  A cofactor
     that is 1 or passes is_probable_prime makes the part exact (and the
     part is cached); a composite cofactor c has at least 1 and at most k
     distinct primes, k the largest with TRIAL_LIMIT**k < c, since each of
@@ -374,21 +543,24 @@ def omega_bounds_qm_minus_1(q: int, m: int, *,
     divide m: with d0 the order of q mod p, p | Phi_d(q) only for
     d = d0 * p**j, j >= 0, so one of d, e is a multiple of p.  As
     m < TRIAL_LIMIT, a shared prime is in the table of each part it
-    divides, so trial division finds it, never two cofactors."""
+    divides, so the split finds it, never two cofactors."""
     if not 1 <= m < TRIAL_LIMIT:
         raise ValueError("omega bounds need 1 <= m < TRIAL_LIMIT")
-    primes: set[int] = set()
-    lo = hi = 0  # distinct primes inside the composite cofactors
-    for d in _divisors_of(m):
-        fac, rem = _split_part(cyclotomic_value(d, q), d, cache)
-        primes.update(fac)
-        if rem > 1:
-            k = 1
-            while TRIAL_LIMIT ** (k + 1) < rem:
-                k += 1
-            lo += 1
-            hi += k
-    return len(primes) + lo, len(primes) + hi
+    sieve = _RowSieve(qs) if len(qs) >= _ROW_SIEVE_MIN else None
+    for i, q in enumerate(qs):
+        divide = None if sieve is None else functools.partial(sieve.split, i)
+        primes: set[int] = set()
+        lo = hi = 0  # distinct primes inside the composite cofactors
+        for d in _divisors_of(m):
+            fac, rem = _split_part(cyclotomic_value(d, q), d, cache, divide)
+            primes.update(fac)
+            if rem > 1:
+                k = 1
+                while TRIAL_LIMIT ** (k + 1) < rem:
+                    k += 1
+                lo += 1
+                hi += k
+        yield len(primes) + lo, len(primes) + hi
 
 
 # ---------------------------------------------------------------------------

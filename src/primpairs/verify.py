@@ -35,7 +35,7 @@ from .arith import (
     factor,
     factor_qm_minus_1,
     moebius,
-    omega_bounds_qm_minus_1,
+    omega_bounds_row,
     prime_power,
     prime_powers_upto,
     squarefree_divisor_count,
@@ -635,15 +635,17 @@ def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
     condition fails, ordered by (m, q).  Each of these pairs must then be
     settled by certificate_search or brute force.
 
-    main_margin falls as W = 2**omega grows, so the trial-division bracket
-    lo <= omega(q**m - 1) <= hi decides most pairs: margin > 0 at 2**hi
-    means the condition holds, margin < 0 at 2**lo means it fails without
-    equality.  Only a pair whose bracket straddles margin 0 is factored in
-    full (Pollard rho); equality is read only from an exact W."""
+    main_margin falls as W = 2**omega grows, so the bracket
+    lo <= omega(q**m - 1) <= hi of omega_bounds_row, walked one row of m
+    at a time, decides most pairs: margin > 0 at 2**hi means the
+    condition holds, margin < 0 at 2**lo means it fails without equality.
+    Only a pair whose bracket straddles margin 0 is factored in full
+    (Pollard rho), right after its bracket, so cache reads and writes keep
+    their order; equality is read only from an exact W."""
     out = []
     for m, qmax in sorted(threshold_cascade(n).items()):
-        for q in prime_powers_upto(qmax):
-            lo, hi = omega_bounds_qm_minus_1(q, m, cache=cache)
+        qs = prime_powers_upto(qmax)
+        for q, (lo, hi) in zip(qs, omega_bounds_row(qs, m, cache=cache)):
             margin = main_margin(q, m, n, 1 << hi)
             if margin <= 0 and lo < hi:
                 margin = main_margin(q, m, n, 1 << lo)

@@ -1,9 +1,10 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from primpairs import arith
 from primpairs.arith import (
@@ -20,6 +21,7 @@ from primpairs.arith import (
     nth_primes,
     omega,
     omega_bounds_qm_minus_1,
+    omega_bounds_row,
     primes_upto,
     squarefree_divisor_count,
     squarefree_divisors,
@@ -66,6 +68,33 @@ def test_is_probable_prime_vs_sieve():
     ps = set(primes_upto(2000))
     for n in range(2000):
         assert is_probable_prime(n) == (n in ps)
+
+
+PSI_12 = 399165290221 * 798330580441  # psi_12, Sorenson and Webster 2017
+
+
+def test_twelve_bases_decide_primality_only_below_psi12():
+    # psi_12 passes the 12-base test, so that test is proven only below it
+    assert PSI_12 == arith._PSI_12 == 318665857834031151167461
+    assert is_probable_prime(PSI_12, rounds=12)  # the first 12 primes
+    assert not is_probable_prime(PSI_12)
+    assert is_probable_prime(PSI_12 - 1) is False  # even
+
+
+def test_is_probable_prime_below_psi12_matches_sympy():
+    from sympy import isprime, nextprime
+    rng = random.Random(2017)
+    sample = [nextprime(rng.randrange(2 ** 64, PSI_12 - 2 ** 20))
+              for _ in range(100)]
+    while len(sample) < 200:  # products of two ~40-bit primes
+        n = nextprime(rng.randrange(2 ** 38, 2 ** 40)) * nextprime(
+            rng.randrange(2 ** 38, 2 ** 40))
+        if 2 ** 64 <= n < PSI_12:
+            sample.append(n)
+    sample += [rng.randrange(2 ** 64, PSI_12) | 1 for _ in range(200)]
+    assert sum(map(isprime, sample)) >= 100
+    for n in sample:
+        assert is_probable_prime(n) == isprime(n), n
 
 
 @pytest.mark.parametrize("n,expect", [
@@ -191,6 +220,37 @@ def test_cyclotomic_values():
 def test_trial_table_d_finds_every_small_prime_of_phi_d(q, d):
     part = arith.cyclotomic_value(d, q)
     assert arith._trial_divide(part, d) == arith._trial_divide(part)
+
+
+# 7 || Phi_7(q) for q = 1 (mod 7); d a prime power or with two primes;
+# q in {2, 3} for d <= 2; q = p**k with p in table d (29 = 1 mod 7, and
+# every prime is in table 1); table 500009 holds no prime = 1 (mod d)
+@example(7, [8, 29, 43, 71, 2, 19609])
+@example(8, [3, 5, 7, 9, 17, 41, 4913])
+@example(9, [2, 4, 7, 19, 37, 361])
+@example(12, [5, 7, 13, 25, 37, 169])
+@example(1, [2, 3])
+@example(2, [2, 3])
+@example(7, [29, 841, 24389, 43, 1849])
+@example(1, [9, 27, 81, 125])
+@example(500009, [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=80),
+       st.lists(st.sampled_from(arith.prime_powers_upto(20000)),
+                min_size=1, max_size=12, unique=True))
+def test_root_sieve_splits_like_trial_division(d, qs):
+    sieve = arith._RowSieve(qs)
+    for i, q in enumerate(qs):
+        part = arith.cyclotomic_value(d, q)
+        assert sieve.split(i, part, d) == arith._trial_divide(part, d), q
+
+
+@pytest.mark.parametrize("m", [7, 12])
+def test_omega_bounds_of_a_sieved_row_match_one_q_at_a_time(m):
+    qs = arith.prime_powers_upto(4000)
+    assert len(qs) >= arith._ROW_SIEVE_MIN
+    assert list(omega_bounds_row(qs, m)) == [
+        omega_bounds_qm_minus_1(q, m) for q in qs]
 
 
 def test_cyclotomic_prime_factors_are_in_table_d():

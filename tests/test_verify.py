@@ -9,8 +9,9 @@ import random
 import numpy as np
 import pytest
 
-from primpairs import verify as V
+from primpairs import arith, verify as V
 from primpairs.arith import (
+    FactorCache,
     euler_phi,
     factor_qm_minus_1,
     omega_bounds_qm_minus_1,
@@ -656,3 +657,52 @@ def test_scan_factors_only_straddling_pairs(monkeypatch):
     for q, m in sent:
         lo, hi = omega_bounds_qm_minus_1(q, m)
         assert main_margin(q, m, 2, 1 << hi) <= 0 <= main_margin(q, m, 2, 1 << lo)
+
+
+def test_scan_records_and_saved_cache_are_pinned(tmp_path):
+    """scan_exceptions(2) into a fresh cache: the records' repr and the
+    saved cache file, byte for byte (entries and their order), hashed as
+    they were with every part trial-divided."""
+    cache = FactorCache(tmp_path / "factors.json")
+    records = V.scan_exceptions(2, cache=cache)
+    cache.save()
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == ("200e87ad68bcf36f56095ba2befe67f7"
+                      "512e7e1c5f660a89eea0bd6a852f9b23")
+    digest = hashlib.sha256(cache.path.read_bytes()).hexdigest()
+    assert digest == ("48b1458cf1b45dbf5a98dc56e9ef7b7b"
+                      "3006fa31b610da0760073f16acf92e22")
+
+
+def test_scan_long_row_is_root_sieved(monkeypatch):
+    """The m = 7 row (2,290 prime powers) splits its parts by the root
+    sieve: it reaches _trial_divide only inside factor_qm_minus_1, for
+    the pairs whose bracket straddles margin 0.  Shorter rows still
+    trial-divide."""
+    where = {"m": None, "full": False}
+    calls = []
+    row, full = V.omega_bounds_row, V.factor_qm_minus_1
+    trial = arith._trial_divide
+
+    def tracked_row(qs, m, **kwargs):
+        where["m"] = m
+        yield from row(qs, m, **kwargs)
+
+    def tracked_full(q, m, **kwargs):
+        where["full"] = True
+        try:
+            return full(q, m, **kwargs)
+        finally:
+            where["full"] = False
+
+    def tracked_trial(n, d=1):
+        calls.append((where["m"], where["full"]))
+        return trial(n, d)
+
+    monkeypatch.setattr(V, "omega_bounds_row", tracked_row)
+    monkeypatch.setattr(V, "factor_qm_minus_1", tracked_full)
+    monkeypatch.setattr(arith, "_trial_divide", tracked_trial)
+    assert len(V.scan_exceptions(2)) == 495
+    assert (7, False) not in calls
+    assert (7, True) in calls
+    assert (8, False) in calls
