@@ -3,9 +3,14 @@
 Everything here is deterministic.  Factoring trial-divides by the primes
 below 10**6 that can divide the number (p = 1 mod d or p | d for a part
 Phi_d(q) of q**m - 1) behind prime-product gcds, then runs Brent's Pollard
-rho with a fixed parameter sequence.  Primality is Miller-Rabin with the
-first 12 prime witnesses, proven below psi_12 ~ 3.2e23, and the first 24
-primes from psi_12 on.
+rho with a fixed parameter sequence.  Primality is a lookup in the prime
+table up to its limit, then Miller-Rabin with the first k prime witnesses,
+k the least with n < psi_k, where psi_k is the least strong pseudoprime to
+those k bases (the ladder 2047, 1373653, ... of Jaeschke and of Sorenson
+and Webster, proven up to psi_12 ~ 3.2e23), and the first 24 primes from
+psi_12 on.  A cofactor left by trial division has no prime below
+TRIAL_LIMIT, so below TRIAL_LIMIT**2 it is prime without a test: two of
+its primes would multiply past that.
 
 The quantities of interest downstream are the group orders q**m - 1 and
 their derived multiplicative functions: omega (distinct prime count),
@@ -89,20 +94,27 @@ def nth_primes(k: int) -> list[int]:
 # primality
 
 _MR_WITNESSES_12 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-#: psi_12, the least strong pseudoprime to every base in _MR_WITNESSES_12
-#: (Sorenson and Webster, Math. Comp. 86 (2017)); below it those twelve
-#: bases decide primality.
-_PSI_12 = 318665857834031151167461
+#: psi_k, the least strong pseudoprime to the first k prime bases, for
+#: k = 1..12 (Jaeschke 1993; Sorenson and Webster, Math. Comp. 86 (2017);
+#: OEIS A014233): below psi_k the first k bases decide primality.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461)
+_PSI_12 = _PSI[-1]
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def is_probable_prime(n: int, rounds: int = 24) -> bool:
-    """Miller-Rabin.  Deterministic below psi_12 = 318665857834031151167461
-    (the first-12-prime witness set, proven there); from psi_12 on, the
-    first `rounds` primes serve as witnesses, which keeps results
+    """Miller-Rabin.  A table lookup up to the sieved limit; deterministic
+    below psi_12 = 318665857834031151167461 with the first k prime
+    witnesses, k the least with n < psi_k (proven there); from psi_12 on,
+    the first `rounds` primes serve as witnesses, which keeps results
     reproducible."""
     if n < 2:
         return False
+    if n <= _sieve_limit:
+        i = bisect_right(_sieve_primes, n)
+        return i > 0 and _sieve_primes[i - 1] == n
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -111,7 +123,8 @@ def is_probable_prime(n: int, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    witnesses = _MR_WITNESSES_12 if n < _PSI_12 else tuple(nth_primes(rounds))
+    k = bisect_right(_PSI, n)
+    witnesses = _MR_WITNESSES_12[: k + 1] if k < 12 else nth_primes(rounds)
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -123,6 +136,12 @@ def is_probable_prime(n: int, rounds: int = 24) -> bool:
         else:
             return False
     return True
+
+
+def _is_prime_cofactor(c: int) -> bool:
+    """Whether c > 1 with no prime below TRIAL_LIMIT is prime: it is when
+    c < TRIAL_LIMIT**2, since two such primes multiply past that."""
+    return c < TRIAL_LIMIT ** 2 or is_probable_prime(c)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +366,7 @@ def _brent_rho(n: int, budget: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 total += min(128, r - k)
                 if total > budget:
                     raise FactorBudgetExceeded(f"rho budget exhausted on {n}")
@@ -358,7 +377,7 @@ def _brent_rho(n: int, budget: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
         # cycle collapsed for this c; retry with the next constant
@@ -433,7 +452,7 @@ def _factor_part(n: int, d: int, cache: "FactorCache | None",
     stack = [rem]
     while stack:
         c = stack.pop()
-        if is_probable_prime(c):
+        if _is_prime_cofactor(c):
             fac[c] = fac.get(c, 0) + 1
             continue
         b, k = _perfect_power(c)
@@ -454,14 +473,14 @@ def _split_part(n: int, d: int, cache: "FactorCache | None",
                 divide=None) -> tuple[dict[int, int], int]:
     """Split n >= 1 (a value of Phi_d if d > 1) into {p: e} and a cofactor
     that is 1 or composite, from the cache or by trial division by table d
-    (or `divide(n, d)`, a root sieve's split) and a primality test on what
-    is left.  A split with no composite cofactor is the whole
+    (or `divide(n, d)`, a root sieve's split) and _is_prime_cofactor on
+    what is left.  A split with no composite cofactor is the whole
     factorization, and it is cached."""
     hit = cache.get(n) if cache is not None else None
     if hit is not None:
         return dict(hit), 1
     fac, rem = (_trial_divide if divide is None else divide)(n, d)
-    if rem > 1 and not is_probable_prime(rem):
+    if rem > 1 and not _is_prime_cofactor(rem):
         return fac, rem
     if rem > 1:
         fac[rem] = 1
@@ -533,10 +552,10 @@ def omega_bounds_row(qs: list[int], m: int, *,
     dividing d are tested directly, so it finds the same primes as table d,
     each exponent by repeated division.  A shorter row trial-divides each
     part, cheaper there than finding the roots.  A cofactor
-    that is 1 or passes is_probable_prime makes the part exact (and the
-    part is cached); a composite cofactor c has at least 1 and at most k
-    distinct primes, k the largest with TRIAL_LIMIT**k < c, since each of
-    them exceeds TRIAL_LIMIT.
+    that is 1 or prime makes the part exact (and the part is cached); each
+    prime of a cofactor exceeds TRIAL_LIMIT, so one below TRIAL_LIMIT**2
+    is prime untested, and a composite cofactor c has at least 1 and at
+    most k distinct primes, k the largest with TRIAL_LIMIT**k < c.
 
     Primes are unioned across parts and cofactor counts add.  This is
     sound because a prime dividing Phi_d(q) and Phi_e(q) for d != e must

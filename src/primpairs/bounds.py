@@ -90,7 +90,8 @@ def sieve_params(group_order: FactoredInteger,
         raise ValueError("l_radical must divide the group order")
     omitted = tuple(p for p in group_order.primes if l_radical.value % p)
     s = len(omitted)
-    delta = 1 - 2 * sum(Fraction(1, p) for p in omitted)
+    P = prod(omitted)
+    delta = Fraction(P - 2 * sum(P // p for p in omitted), P)
     if delta <= 0:
         return s, delta, None
     return s, delta, Fraction(2 * s - 1, 1) / delta + 2
@@ -165,19 +166,37 @@ def certificate_search(q: int, m: int, n: int, *,
                        budget: int = DEFAULT_FACTOR_BUDGET
                        ) -> SieveCertificate | None:
     """First passing certificate over l_radical drawn from subsets of the
-    six smallest primes of q^m-1, smaller W(l) first, then smaller l."""
+    six smallest primes of q^m-1, smaller W(l) first, then smaller l.
+
+    Each subset is tested in integers.  With P the product of the distinct
+    primes of q^m-1 and share[p] = P // p, keeping the subset leaves
+    delta = dnum / P, dnum = P - 2 (sum of share over the omitted primes),
+    and Delta = Dnum / dnum, Dnum = (2s-1) P + 2 dnum, when dnum > 0.  So
+    sieve_condition's den^2 q^(m-4) > (num (n+2) W(l)^2)^2 holds exactly
+    when dnum^2 q^(m-4) > (Dnum (n+2) 4^|subset|)^2: both sides scale by
+    the same square when num/den is not in lowest terms.  Only the first
+    passing subset is built by evaluate_l, so the result is the one
+    evaluate_l on every subset in turn would give."""
     prime_power(q)  # ValueError unless q is a prime power
     if n < 1:
         raise ValueError("q >= 2, n >= 1, W >= 1 required")
+    if 1 <= m < 5:
+        raise ValueError("sieve condition needs m >= 5")
     group = factor_qm_minus_1(q, m, cache=cache, budget=budget)
-    head = group.primes[: min(len(group.primes), 6)]
+    primes = group.primes
+    P = prod(primes)
+    share = {p: P // p for p in primes}
+    dnum_none = P - 2 * sum(share.values())  # dnum when l = 1
+    power = q ** (m - 4)
+    head = primes[:6]
     for size in range(len(head) + 1):
-        subsets = sorted(combinations(head, size), key=prod)
-        for subset in subsets:
-            l_radical = factored(prod(subset), [(p, 1) for p in subset])
-            cert = evaluate_l(q, m, n, group, l_radical)
-            if cert.passes:
-                return cert
+        Dnum_s = (2 * (len(primes) - size) - 1) * P
+        for subset in sorted(combinations(head, size), key=prod):
+            dnum = dnum_none + 2 * sum(share[p] for p in subset)
+            if dnum > 0 and dnum * dnum * power > (
+                    (Dnum_s + 2 * dnum) * (n + 2) << 2 * size) ** 2:
+                return evaluate_l(q, m, n, group, factored(
+                    prod(subset), [(p, 1) for p in subset]))
     return None
 
 

@@ -97,6 +97,84 @@ def test_is_probable_prime_below_psi12_matches_sympy():
         assert is_probable_prime(n) == isprime(n), n
 
 
+#: psi_1 .. psi_12, OEIS A014233 (Jaeschke 1993, Sorenson and Webster 2017)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, PSI_12)
+
+
+def strong_probable_prime(n, a):
+    """One Miller-Rabin round of odd n > 2 to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_psi_ladder_fools_exactly_the_bases_it_is_proven_for(k):
+    # psi_k is composite yet passes the first k prime bases, so below it,
+    # and only there, those k bases decide primality
+    from sympy import isprime
+    psi = PSI[k - 1]
+    assert arith._PSI[k - 1] == psi and not isprime(psi)
+    assert all(strong_probable_prime(psi, a) for a in nth_primes(k))
+    assert is_probable_prime(psi) is False
+
+
+def test_is_probable_prime_below_2_64_matches_sympy():
+    from sympy import isprime, nextprime
+    rng = random.Random(1993)
+    sample = [rng.randrange(arith.TRIAL_LIMIT, 2 ** 64) for _ in range(300)]
+    sample += [nextprime(rng.randrange(arith.TRIAL_LIMIT, 2 ** 64))
+               for _ in range(100)]
+    for psi in PSI[:11]:  # within 2**16 of each step of the ladder
+        sample += [psi + rng.randrange(-2 ** 16, 2 ** 16) for _ in range(40)]
+        sample += [nextprime(psi - 2 ** 16), nextprime(psi)]
+    for bits in (21, 26, 32):  # semiprimes with both factors above 10**6
+        sample += [nextprime(rng.randrange(10 ** 6, 2 ** bits))
+                   * nextprime(rng.randrange(10 ** 6, 2 ** bits))
+                   for _ in range(30)]
+    assert sum(map(isprime, sample)) >= 120
+    for n in sample:
+        assert is_probable_prime(n) == isprime(n), n
+
+
+def test_cofactors_below_trial_limit_squared_are_prime():
+    # parts whose trial-division cofactor lies in (TRIAL_LIMIT,
+    # TRIAL_LIMIT**2), taken prime untested, or just above, prime or a
+    # product of two primes above TRIAL_LIMIT that rho splits
+    from sympy import factorint
+    limit = arith.TRIAL_LIMIT
+    rng = random.Random(12)
+    qs = arith.prime_powers_upto(3000)
+    cases = {"below": [], "above prime": [], "above composite": []}
+    while min(map(len, cases.values())) < 6:
+        q, m = rng.choice(qs), rng.randrange(5, 11)
+        for d in arith._divisors_of(m):
+            _, rem = arith._trial_divide(arith.cyclotomic_value(d, q), d)
+            if limit < rem < limit ** 2:
+                kind = "below"
+            elif limit ** 2 <= rem < 10 * limit ** 2:
+                kind = "above prime" if is_probable_prime(rem) else (
+                    "above composite")
+            else:
+                continue
+            if len(cases[kind]) < 6:
+                cases[kind].append((q, m))
+            break
+    for q, m in sum(cases.values(), []):
+        assert dict(factor_qm_minus_1(q, m).factors) == factorint(
+            q ** m - 1), (q, m)
+
+
 @pytest.mark.parametrize("n,expect", [
     (1, ()),
     (2, ((2, 1),)),

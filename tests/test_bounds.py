@@ -2,11 +2,15 @@
 worst-case windows against their reference digit strings, and the q-range
 cascade."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
 from primpairs.arith import (
+    FactorCache,
     decimal_lower,
     decimal_upper,
     factor,
@@ -28,6 +32,7 @@ from primpairs.bounds import (
     wide_window_row,
     worst_case_row,
 )
+from primpairs.verify import scan_exceptions
 
 EQUALITY_PAIRS = [(4, 16), (4, 20), (4, 24), (8, 20), (256, 8)]
 
@@ -170,6 +175,51 @@ def test_certificate_serialize():
     assert d["delta_decimal"] == "0.8915505547"
     assert d["Delta_decimal"] == "9.8514897025"
     assert d["omitted_primes"] == [31, 71, 127, 122921]
+
+
+def search_by_evaluate_l(q, m, n, cache=None):
+    """The certificate search with every subset built by evaluate_l in
+    Fractions, in the same order: the oracle for the integer test."""
+    group = factor_qm_minus_1(q, m, cache=cache)
+    head = group.primes[:6]
+    for size in range(len(head) + 1):
+        for subset in sorted(combinations(head, size), key=prod):
+            cert = evaluate_l(q, m, n, group,
+                              factored(prod(subset), [(p, 1) for p in subset]))
+            if cert.passes:
+                return cert
+    return None
+
+
+def test_certificate_search_matches_evaluate_l_on_the_scan(tmp_path):
+    # every exception of scan 2 at n = 2, and a seeded sample at n = 1, 3, 4
+    cache = FactorCache(tmp_path / "factors.json")
+    pairs = [(r.q, r.m) for r in scan_exceptions(2, cache=cache)]
+    assert len(pairs) == 495
+    rng = random.Random(18)
+    cases = [(q, m, 2) for q, m in pairs] + [
+        (q, m, n) for n in (1, 3, 4) for q, m in rng.sample(pairs, 60)]
+    found = 0
+    for q, m, n in cases:
+        cert = certificate_search(q, m, n, cache=cache)
+        assert cert == search_by_evaluate_l(q, m, n, cache), (q, m, n)
+        found += cert is not None
+    assert 0 < found < len(cases)
+
+
+def test_certificate_search_matches_evaluate_l_at_the_edges():
+    # omega <= 6 puts the s = 0 subset (l the whole radical) in the
+    # search; delta <= 0 at l = 1 means some subsets have no Delta
+    whole_radical = no_delta = 0
+    for q in prime_powers_upto(64):
+        for m in range(5, 10):
+            group = factor_qm_minus_1(q, m)
+            whole_radical += len(group.primes) <= 6
+            no_delta += sieve_params(group, factored(1, []))[2] is None
+            for n in (1, 2, 3, 4):
+                assert certificate_search(q, m, n) == search_by_evaluate_l(
+                    q, m, n), (q, m, n)
+    assert whole_radical >= 20 and no_delta >= 20
 
 
 # -- worst-case windows -----------------------------------------------------

@@ -276,6 +276,20 @@ def test_m_below_one_is_invalid(capsys, command, m):
     assert (code, out, err) == (3, "", "invalid input: m must be positive\n")
 
 
+@pytest.mark.parametrize("q", ["2", "7"])
+def test_sieve_refuses_m_below_five_before_factoring(capsys, monkeypatch, q):
+    # the sieve inequality needs m >= 5; q^4 - 1 is never factored for it
+    from primpairs import bounds
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("factor_qm_minus_1 called")
+
+    monkeypatch.setattr(bounds, "factor_qm_minus_1", unexpected)
+    code, out, err = run(capsys, "sieve", q, "4", "2")
+    assert (code, out, err) == (
+        3, "", "invalid input: sieve condition needs m >= 5\n")
+
+
 @pytest.mark.parametrize("argv", [("2", "8", "-2"), ("3", "7", "0")])
 def test_sieve_refuses_n_below_one(capsys, argv):
     # (n + 2) Delta W^2 is 0 at n = -2: no certificate may pass on it
