@@ -16,7 +16,11 @@ The quantities of interest downstream are the group orders q**m - 1 and
 their derived multiplicative functions: omega (distinct prime count),
 W = 2**omega (squarefree divisor count), phi and mu.  Where only W
 matters, `omega_bounds_row` brackets omega(q**m - 1) for a row of q
-without Pollard rho, so rho runs only when the bracket is not enough.  A
+without Pollard rho, and where the bracket is not enough
+`omega_qm_minus_1` finds omega exactly, still mostly without rho: a
+composite cofactor of Phi_d(q) has only primes p = 1 (mod lcm(2, d))
+above TRIAL_LIMIT, so when none of them up to its cube root divides it,
+it is a product of two primes.  A
 long row finds the small primes of all its parts Phi_d(q) at once by a
 root sieve: for p not dividing d, p | Phi_d(q) exactly when q mod p is a
 primitive d-th root of unity mod p, so each root marks the q of the row
@@ -39,7 +43,7 @@ import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -49,7 +53,10 @@ TRIAL_LIMIT = 10 ** 6
 #: Rows of at least this many q split their parts by root sieve; shorter
 #: rows trial-divide each part, which is cheaper than finding the roots.
 _ROW_SIEVE_MIN = 512
-_SIEVE_BLOCK = 4096  # about this many candidates per array of the root sieve
+_SIEVE_BLOCK = 4096  # about this many values per array of a numpy sieve
+#: A composite cofactor c is proven a product of two primes only when
+#: cbrt(c) <= _CUBE_LIMIT, so each progression sieve stops here.
+_CUBE_LIMIT = 2 ** 23
 DEFAULT_FACTOR_BUDGET = 50_000_000  # Pollard rho iterations per factor() call
 
 
@@ -347,6 +354,58 @@ def _perfect_power(n: int) -> tuple[int, int]:
             return b, k
 
 
+@functools.cache
+def _progression_primes(step: int) -> np.ndarray:
+    """The primes p = 1 (mod step) in (TRIAL_LIMIT, _CUBE_LIMIT], as int32,
+    for step <= 2 * TRIAL_LIMIT, sieved over that progression alone by the
+    primes up to its square root (none of which is a term, all terms
+    exceeding TRIAL_LIMIT), 8 * _SIEVE_BLOCK terms at a time."""
+    start = TRIAL_LIMIT + 1 + (-TRIAL_LIMIT) % step
+    terms = (_CUBE_LIMIT - start) // step + 1
+    ells = [ell for ell in primes_upto(math.isqrt(_CUBE_LIMIT)) if step % ell]
+    # term j, start + j*step, is a multiple of ell exactly when j = j0 (mod ell)
+    j0s = [-start * pow(step, -1, ell) % ell for ell in ells]
+    out = []
+    for lo in range(0, terms, 8 * _SIEVE_BLOCK):
+        prime = np.ones(min(8 * _SIEVE_BLOCK, terms - lo), dtype=bool)
+        for ell, j0 in zip(ells, j0s):
+            prime[(j0 - lo) % ell :: ell] = False
+        out.append((start + step * (lo + np.flatnonzero(prime))).astype(np.int32))
+    return np.concatenate(out)
+
+
+def _divides_any(c: int, ps: np.ndarray) -> bool:
+    """Whether some p of ps (each < 2**31) divides c < 2**96: c mod p by
+    Horner over c's 32-bit limbs, _SIEVE_BLOCK primes at a time."""
+    limbs = [c >> shift & 0xFFFFFFFF for shift in (64, 32, 0)]
+    for i in range(0, len(ps), _SIEVE_BLOCK):
+        p = ps[i : i + _SIEVE_BLOCK].astype(np.int64)
+        r = np.zeros_like(p)
+        for limb in limbs:
+            r = ((r << 32) + limb) % p
+        if not r.all():
+            return True
+    return False
+
+
+def _two_primes(c: int, d: int) -> bool:
+    """Whether c, a composite cofactor of Phi_d(q) left by table-d trial
+    division (1 <= d < TRIAL_LIMIT), is proven a product of two distinct
+    primes.
+
+    Each prime p of c exceeds TRIAL_LIMIT > d, so p does not divide d, q
+    has order d mod p and p = 1 (mod lcm(2, d)).  When no such p up to
+    cbrt(c) divides c, every prime of c exceeds cbrt(c), so c has at most
+    two prime factors counted with multiplicity: exactly two, as c is
+    composite, and distinct, as c is not a square.  The proof is tried
+    only for cbrt(c) <= _CUBE_LIMIT."""
+    root = iroot(c, 3)
+    if root > _CUBE_LIMIT or math.isqrt(c) ** 2 == c:
+        return False
+    ps = _progression_primes(math.lcm(2, d))
+    return not _divides_any(c, ps[: bisect_right(ps, root)])
+
+
 def _brent_rho(n: int, budget: int) -> int:
     """Nontrivial factor of composite odd n.  Deterministic: constants
     c = 1, 2, 3, ... tried in order from x0 = 2, differences batched 128
@@ -529,6 +588,27 @@ def factor_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
     return out
 
 
+def omega_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
+                     budget: int = DEFAULT_FACTOR_BUDGET) -> int:
+    """omega(q**m - 1), exact, for 1 <= m < TRIAL_LIMIT.  Each part
+    Phi_d(q) is split as in omega_bounds_row, and a composite cofactor
+    counts 2 when _two_primes proves it; otherwise q**m - 1 is factored in
+    full.  Counts add, since cofactor primes of different parts are
+    distinct (see omega_bounds_row)."""
+    if not 1 <= m < TRIAL_LIMIT:
+        raise ValueError("omega needs 1 <= m < TRIAL_LIMIT")
+    primes: set[int] = set()
+    pairs = 0
+    for d in _divisors_of(m):
+        fac, rem = _split_part(cyclotomic_value(d, q), d, cache)
+        primes.update(fac)
+        if rem > 1:
+            if not _two_primes(rem, d):
+                return omega(factor_qm_minus_1(q, m, cache=cache, budget=budget))
+            pairs += 1
+    return len(primes) + 2 * pairs
+
+
 def omega_bounds_qm_minus_1(q: int, m: int, *,
                             cache: "FactorCache | None" = None) -> tuple[int, int]:
     """(lo, hi) with lo <= omega(q**m - 1) <= hi, from trial division alone:
@@ -555,7 +635,10 @@ def omega_bounds_row(qs: list[int], m: int, *,
     that is 1 or prime makes the part exact (and the part is cached); each
     prime of a cofactor exceeds TRIAL_LIMIT, so one below TRIAL_LIMIT**2
     is prime untested, and a composite cofactor c has at least 1 and at
-    most k distinct primes, k the largest with TRIAL_LIMIT**k < c.
+    most k distinct primes, k the largest with TRIAL_LIMIT**k < c.  (It
+    has exactly 2 when no prime up to cbrt(c) divides it and c is not a
+    square: the cube-root argument of _two_primes, which
+    omega_qm_minus_1 applies to a pair the bracket does not decide.)
 
     Primes are unioned across parts and cofactor counts add.  This is
     sound because a prime dividing Phi_d(q) and Phi_e(q) for d != e must
@@ -748,7 +831,15 @@ class FactorCache:
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(self._data, fh)
+                # the bytes of json.dump, which always takes the pure-Python
+                # encoder: the C encoder of json.dumps, a slice at a time
+                entries = iter(self._data.items())
+                fh.write("{")
+                sep = ""
+                while part := dict(islice(entries, 512)):
+                    fh.write(sep + json.dumps(part)[1:-1])
+                    sep = ", "
+                fh.write("}")
             os.replace(tmp, self.path)
         finally:
             if os.path.exists(tmp):

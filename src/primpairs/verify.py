@@ -36,6 +36,7 @@ from .arith import (
     factor_qm_minus_1,
     moebius,
     omega_bounds_row,
+    omega_qm_minus_1,
     prime_power,
     prime_powers_upto,
     squarefree_divisor_count,
@@ -639,9 +640,11 @@ def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
     lo <= omega(q**m - 1) <= hi of omega_bounds_row, walked one row of m
     at a time, decides most pairs: margin > 0 at 2**hi means the
     condition holds, margin < 0 at 2**lo means it fails without equality.
-    Only a pair whose bracket straddles margin 0 is factored in full
-    (Pollard rho), right after its bracket, so cache reads and writes keep
-    their order; equality is read only from an exact W."""
+    Only for a pair whose bracket straddles margin 0 is omega found
+    exactly, right after its bracket, so cache reads and writes keep their
+    order: omega_qm_minus_1 counts a composite cofactor with no prime up
+    to its cube root as two primes, and factors q**m - 1 in full (Pollard
+    rho) only when it cannot.  Equality is read only from an exact W."""
     out = []
     for m, qmax in sorted(threshold_cascade(n).items()):
         qs = prime_powers_upto(qmax)
@@ -649,11 +652,9 @@ def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
             margin = main_margin(q, m, n, 1 << hi)
             if margin <= 0 and lo < hi:
                 margin = main_margin(q, m, n, 1 << lo)
-                if margin >= 0:  # the bracket straddles 0: factor in full
-                    group = factor_qm_minus_1(q, m, cache=cache,
-                                              budget=budget)
-                    margin = main_margin(q, m, n,
-                                         squarefree_divisor_count(group))
+                if margin >= 0:  # the bracket straddles 0: omega exactly
+                    margin = main_margin(q, m, n, 1 << omega_qm_minus_1(
+                        q, m, cache=cache, budget=budget))
             if margin <= 0:
                 out.append(ScanRecord(q, m, margin == 0))
     return out

@@ -1,8 +1,10 @@
+import io
 import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from primpairs.arith import (
     omega,
     omega_bounds_qm_minus_1,
     omega_bounds_row,
+    omega_qm_minus_1,
     primes_upto,
     squarefree_divisor_count,
     squarefree_divisors,
@@ -246,10 +249,17 @@ def test_factor_qm_minus_1_matches_direct():
         assert factor_qm_minus_1(q, m).factors == factor(q ** m - 1).factors
 
 
-# pairs whose bracket is not exact: Phi_13(q) leaves a composite cofactor
+# pairs whose bracket is not exact: Phi_13(q) leaves a composite cofactor;
+# the cofactor of Phi_7(q) is a proven product of two primes at q = 173,
+# has a prime below its cube root at q = 1367 (two primes) and q = 5953
+# (three), and has its cube root above _CUBE_LIMIT at q = 2939
 @example(31, 13)
 @example(53, 13)
 @example(49, 13)
+@example(173, 7)
+@example(1367, 7)
+@example(5953, 7)
+@example(2939, 7)
 @given(st.sampled_from(arith.prime_powers_upto(64)),
        st.integers(min_value=1, max_value=15))
 def test_omega_bounds_contain_omega(q, m):
@@ -258,6 +268,7 @@ def test_omega_bounds_contain_omega(q, m):
     assert lo <= exact <= hi
     if lo == hi:
         assert lo == exact
+    assert omega_qm_minus_1(q, m) == exact
 
 
 def test_omega_bounds_strict_bracket():
@@ -274,6 +285,79 @@ def test_omega_bounds_read_and_fill_cache(tmp_path):
     assert omega_bounds_qm_minus_1(53, 13, cache=c) == (4, 4)
     with pytest.raises(ValueError):
         omega_bounds_qm_minus_1(2, arith.TRIAL_LIMIT)
+
+
+def _prime_1_mod_14(x):
+    """The least prime p = 1 (mod 14) above x."""
+    p = x - x % 14 + 15
+    while not is_probable_prime(p):
+        p += 14
+    return p
+
+
+_ABOVE_TRIAL = st.integers(min_value=10 ** 6, max_value=2 ** 34)
+
+
+@given(_ABOVE_TRIAL, _ABOVE_TRIAL)
+def test_two_primes_proves_a_product_of_two_primes(a, b):
+    p, q = _prime_1_mod_14(a), _prime_1_mod_14(b)
+    if p != q:
+        assert arith._two_primes(p * q, 7)
+    assert not arith._two_primes(p * p, 7)
+
+
+@given(st.lists(st.integers(min_value=10 ** 6, max_value=2 ** 23 - 2 ** 16),
+                min_size=3, max_size=3))
+def test_two_primes_rejects_three_primes(xs):
+    c = math.prod(_prime_1_mod_14(x) for x in xs)
+    assert c < 2 ** 69 and not arith._two_primes(c, 7)
+
+
+# offset 0: the prime p is floor(cbrt(p * q)) itself
+@example(10 ** 6, 0)
+@example(2 ** 22, 0)
+@given(st.integers(min_value=10 ** 6, max_value=2 ** 22),
+       st.integers(min_value=0, max_value=2 ** 24))
+def test_two_primes_rejects_a_prime_below_the_cube_root(a, offset):
+    p = _prime_1_mod_14(a)
+    q = _prime_1_mod_14(p * p + offset)
+    assert p <= arith.iroot(p * q, 3) <= arith._CUBE_LIMIT
+    assert not arith._two_primes(p * q, 7)
+
+
+# three primes above _CUBE_LIMIT would pass a search that stopped there
+@given(st.lists(st.integers(min_value=arith._CUBE_LIMIT, max_value=2 ** 30),
+                min_size=3, max_size=3),
+       st.lists(st.integers(min_value=2 ** 35, max_value=2 ** 40),
+                min_size=2, max_size=2))
+def test_two_primes_needs_the_cube_root_below_the_limit(three, two):
+    for xs in (three, two):
+        c = math.prod(_prime_1_mod_14(x) for x in xs)
+        assert arith.iroot(c, 3) > arith._CUBE_LIMIT
+        assert not arith._two_primes(c, 7)
+
+
+@pytest.mark.parametrize("step", [2, 14, 158, 30030])
+def test_progression_primes_are_the_primes_of_the_progression(step):
+    from sympy import primerange
+
+    ps = arith._progression_primes(step)
+    assert ps.dtype == np.int32
+    limit = arith._CUBE_LIMIT
+    for lo, hi in ((arith.TRIAL_LIMIT, 1_300_000), (limit - 300_000, limit)):
+        window = ps[(ps > lo) & (ps <= hi)].tolist()
+        assert window == [p for p in primerange(lo + 1, hi + 1)
+                          if p % step == 1]
+
+
+def test_omega_qm_minus_1_caches_only_factored_parts(tmp_path):
+    c = FactorCache(tmp_path / "cache.json")
+    part = arith.cyclotomic_value(7, 173)  # a proven product of two primes
+    assert omega_qm_minus_1(173, 7, cache=c) == 4  # 2, 43, and those two
+    assert c.get(172) == ((2, 2), (43, 1)) and c.get(part) is None
+    assert omega_qm_minus_1(173, 7, cache=c) == 4
+    with pytest.raises(ValueError):
+        omega_qm_minus_1(2, arith.TRIAL_LIMIT)
 
 
 def test_cyclotomic_values():
@@ -408,6 +492,20 @@ def test_factor_cache_roundtrip(tmp_path):
     assert c2.get(2 ** 35 - 1) == f.factors
     # a fresh factor() call must hit the cache rather than recompute
     assert factor(2 ** 35 - 1, cache=c2).factors == f.factors
+
+
+@pytest.mark.parametrize("n", [0, 1300])
+def test_factor_cache_save_writes_the_bytes_of_json_dump(tmp_path, n):
+    c = FactorCache(tmp_path / "cache.json")
+    c._load()  # an empty cache, saved as {}
+    c._dirty = True
+    for k in range(2, n + 2):
+        factor(k, cache=c)
+    c.save()
+    want = io.StringIO()
+    json.dump(c._data, want)
+    assert len(c) == n
+    assert c.path.read_text() == want.getvalue()
 
 
 def test_factor_cache_missing_file_ok(tmp_path):

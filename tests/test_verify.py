@@ -641,28 +641,51 @@ def test_brute_force_agrees_with_characters_on_F81(F81):
 
 def test_scan_factors_only_straddling_pairs(monkeypatch):
     """scan_exceptions decides the main condition from the trial-division
-    bracket on omega; full factoring (Pollard rho) runs only on the pairs
-    whose bracket straddles margin 0, 47 of the 3,016 for n = 2."""
-    full = V.factor_qm_minus_1
+    bracket on omega; omega is found exactly only for the pairs whose
+    bracket straddles margin 0, 47 of the 3,016 for n = 2, all with
+    m = 7.  Pollard rho runs on one cofactor alone, that of Phi_7(3061),
+    which has a prime below its cube root; the other cofactors are proven
+    products of two primes."""
+    from sympy import factorint
+
+    exact, rho = V.omega_qm_minus_1, arith._brent_rho
+    sent, split = [], []
+
+    def counting(q, m, **kwargs):
+        sent.append((q, m))
+        return exact(q, m, **kwargs)
+
+    def tracked_rho(n, budget):
+        split.append(n)
+        return rho(n, budget)
+
+    monkeypatch.setattr(V, "omega_qm_minus_1", counting)
+    monkeypatch.setattr(arith, "_brent_rho", tracked_rho)
+    records = V.scan_exceptions(2)
+    assert len(records) == 495
+    assert len(sent) == 47 and {m for _, m in sent} == {7}
+    assert split == [arith._trial_divide(arith.cyclotomic_value(7, 3061), 7)[1]]
+    for q, m in sent:
+        lo, hi = omega_bounds_qm_minus_1(q, m)
+        assert main_margin(q, m, 2, 1 << hi) <= 0 <= main_margin(q, m, 2, 1 << lo)
+        assert exact(q, m) == len(factorint(q ** m - 1))
+
+
+def test_scan_records_and_saved_cache_are_pinned(tmp_path, monkeypatch):
+    """scan_exceptions(2) into a fresh cache: the records' repr and the
+    saved cache file, byte for byte (entries and their order), hashed.
+    The records' digest was taken with every part trial-divided.  A part
+    whose cofactor is proven a product of two primes is not factored, so
+    it is not saved; once the straddling pairs are factored the cache
+    holds, up to order, what it held when the scan factored them."""
+    exact = V.omega_qm_minus_1
     sent = []
 
     def counting(q, m, **kwargs):
         sent.append((q, m))
-        return full(q, m, **kwargs)
+        return exact(q, m, **kwargs)
 
-    monkeypatch.setattr(V, "factor_qm_minus_1", counting)
-    records = V.scan_exceptions(2)
-    assert len(records) == 495
-    assert len(sent) < 60
-    for q, m in sent:
-        lo, hi = omega_bounds_qm_minus_1(q, m)
-        assert main_margin(q, m, 2, 1 << hi) <= 0 <= main_margin(q, m, 2, 1 << lo)
-
-
-def test_scan_records_and_saved_cache_are_pinned(tmp_path):
-    """scan_exceptions(2) into a fresh cache: the records' repr and the
-    saved cache file, byte for byte (entries and their order), hashed as
-    they were with every part trial-divided."""
+    monkeypatch.setattr(V, "omega_qm_minus_1", counting)
     cache = FactorCache(tmp_path / "factors.json")
     records = V.scan_exceptions(2, cache=cache)
     cache.save()
@@ -670,37 +693,44 @@ def test_scan_records_and_saved_cache_are_pinned(tmp_path):
     assert digest == ("200e87ad68bcf36f56095ba2befe67f7"
                       "512e7e1c5f660a89eea0bd6a852f9b23")
     digest = hashlib.sha256(cache.path.read_bytes()).hexdigest()
-    assert digest == ("48b1458cf1b45dbf5a98dc56e9ef7b7b"
-                      "3006fa31b610da0760073f16acf92e22")
+    assert digest == ("93707c4b96859e2d4b2367b39efa0f29"
+                      "d2c5fca4e6196f21b107e23e6b9433b2")
+    for q, m in sent:
+        factor_qm_minus_1(q, m, cache=cache)
+    cache.save()
+    content = json.dumps(json.loads(cache.path.read_text()), sort_keys=True)
+    digest = hashlib.sha256(content.encode()).hexdigest()
+    assert digest == ("5ffbbc7bcae6d2aa6420215b4c87ff63"
+                      "f5ee4b8f936f28132dd2920660c2a489")
 
 
 def test_scan_long_row_is_root_sieved(monkeypatch):
     """The m = 7 row (2,290 prime powers) splits its parts by the root
-    sieve: it reaches _trial_divide only inside factor_qm_minus_1, for
+    sieve: it reaches _trial_divide only inside omega_qm_minus_1, for
     the pairs whose bracket straddles margin 0.  Shorter rows still
     trial-divide."""
-    where = {"m": None, "full": False}
+    where = {"m": None, "exact": False}
     calls = []
-    row, full = V.omega_bounds_row, V.factor_qm_minus_1
+    row, exact = V.omega_bounds_row, V.omega_qm_minus_1
     trial = arith._trial_divide
 
     def tracked_row(qs, m, **kwargs):
         where["m"] = m
         yield from row(qs, m, **kwargs)
 
-    def tracked_full(q, m, **kwargs):
-        where["full"] = True
+    def tracked_exact(q, m, **kwargs):
+        where["exact"] = True
         try:
-            return full(q, m, **kwargs)
+            return exact(q, m, **kwargs)
         finally:
-            where["full"] = False
+            where["exact"] = False
 
     def tracked_trial(n, d=1):
-        calls.append((where["m"], where["full"]))
+        calls.append((where["m"], where["exact"]))
         return trial(n, d)
 
     monkeypatch.setattr(V, "omega_bounds_row", tracked_row)
-    monkeypatch.setattr(V, "factor_qm_minus_1", tracked_full)
+    monkeypatch.setattr(V, "omega_qm_minus_1", tracked_exact)
     monkeypatch.setattr(arith, "_trial_divide", tracked_trial)
     assert len(V.scan_exceptions(2)) == 495
     assert (7, False) not in calls
