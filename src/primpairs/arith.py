@@ -14,13 +14,16 @@ its primes would multiply past that.
 
 The quantities of interest downstream are the group orders q**m - 1 and
 their derived multiplicative functions: omega (distinct prime count),
-W = 2**omega (squarefree divisor count), phi and mu.  Where only W
-matters, `omega_bounds_row` brackets omega(q**m - 1) for a row of q
-without Pollard rho, and where the bracket is not enough
-`omega_qm_minus_1` finds omega exactly, still mostly without rho: a
+W = 2**omega (squarefree divisor count), phi and mu.  Each part Phi_d(q)
+of q**m - 1 is split once, by `_split_parts`, into its primes below
+TRIAL_LIMIT and a cofactor, and every consumer reads that split:
+`factor_qm_minus_1` finishes each part by Pollard rho, and where only W
+matters `omega_bounds_row` brackets omega(q**m - 1) for a row of q from
+the splits alone and hands them on, held, to an exact count for a pair
+the bracket does not decide.  That count still mostly avoids rho: a
 composite cofactor of Phi_d(q) has only primes p = 1 (mod lcm(2, d))
 above TRIAL_LIMIT, so when none of them up to its cube root divides it,
-it is a product of two primes.  A
+it is a product of two primes; any other part is finished alone.  A
 long row finds the small primes of all its parts Phi_d(q) at once by a
 root sieve: for p not dividing d, p | Phi_d(q) exactly when q mod p is a
 primitive d-th root of unity mod p, so each root marks the q of the row
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -485,29 +488,22 @@ def factored(n: int, factors) -> FactoredInteger:
     return FactoredInteger(n, tuple(sorted((int(p), int(e)) for p, e in factors)))
 
 
-def merge_factored(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
-    fac: dict[int, int] = dict(a.factors)
-    for p, e in b.factors:
-        fac[p] = fac.get(p, 0) + e
-    return factored(a.value * b.value, fac.items())
-
-
 def factor(n: int, *, cache: "FactorCache | None" = None,
            budget: int = DEFAULT_FACTOR_BUDGET) -> FactoredInteger:
     """Complete prime factorization of n >= 1."""
-    return _factor_part(n, 1, cache, budget)
-
-
-def _factor_part(n: int, d: int, cache: "FactorCache | None",
-                 budget: int) -> FactoredInteger:
-    """factor(n), trial-dividing by table d (n a value of Phi_d if d > 1)."""
     if n < 1:
         raise ValueError("factor() needs a positive integer")
-    if n == 1:
-        return FactoredInteger(1, ())
-    fac, rem = _split_part(n, d, cache)
+    return _finish_part(n, *_split_part(n, 1, cache), cache, budget)
+
+
+def _finish_part(n: int, fac: dict[int, int], rem: int,
+                 cache: "FactorCache | None", budget: int) -> FactoredInteger:
+    """The factorization of n from its split ({p: e}, cofactor) by
+    _split_part: a composite cofactor is taken apart by perfect powers and
+    Brent rho, and the result is cached."""
     if rem == 1:
         return factored(n, fac.items())
+    fac = dict(fac)
     stack = [rem]
     while stack:
         c = stack.pop()
@@ -535,6 +531,8 @@ def _split_part(n: int, d: int, cache: "FactorCache | None",
     (or `divide(n, d)`, a root sieve's split) and _is_prime_cofactor on
     what is left.  A split with no composite cofactor is the whole
     factorization, and it is cached."""
+    if n == 1:
+        return {}, 1
     hit = cache.get(n) if cache is not None else None
     if hit is not None:
         return dict(hit), 1
@@ -543,7 +541,7 @@ def _split_part(n: int, d: int, cache: "FactorCache | None",
         return fac, rem
     if rem > 1:
         fac[rem] = 1
-    if cache is not None and n > 1:
+    if cache is not None:
         cache.put(n, factored(n, fac.items()).factors)
     return fac, 1
 
@@ -574,54 +572,56 @@ def cyclotomic_value(d: int, q: int) -> int:
     return num // den
 
 
+def _split_parts(q: int, m: int, cache: "FactorCache | None", divide=None
+                 ) -> Iterator[tuple[int, int, dict[int, int], int]]:
+    """(Phi_d(q), d, {p: e}, cofactor) for each part of q**m - 1 =
+    prod_{d|m} Phi_d(q), d ascending, each split by _split_part when it is
+    reached, so cache reads and writes keep the order of the parts."""
+    for d in _divisors_of(m):
+        part = cyclotomic_value(d, q)
+        yield (part, d, *_split_part(part, d, cache, divide))
+
+
 def factor_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
                       budget: int = DEFAULT_FACTOR_BUDGET) -> FactoredInteger:
     """Factor q**m - 1 through its cyclotomic splitting
     q^m - 1 = prod_{d|m} Phi_d(q); each part is much smaller than the
-    whole, and parts recur across m (Phi_1(q) = q - 1 for every m)."""
+    whole, and parts recur across m (Phi_1(q) = q - 1 for every m).  Each
+    part is finished before the next is split."""
     if m < 1:
         raise ValueError("m must be positive")
-    out = FactoredInteger(1, ())
-    for d in _divisors_of(m):
-        out = merge_factored(out, _factor_part(cyclotomic_value(d, q), d, cache, budget))
-    assert out.value == q ** m - 1
-    return out
+    fac: dict[int, int] = {}
+    for part, d, pf, rem in _split_parts(q, m, cache):
+        for p, e in _finish_part(part, pf, rem, cache, budget).factors:
+            fac[p] = fac.get(p, 0) + e
+    return factored(q ** m - 1, fac.items())
 
 
-def omega_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
-                     budget: int = DEFAULT_FACTOR_BUDGET) -> int:
-    """omega(q**m - 1), exact, for 1 <= m < TRIAL_LIMIT.  Each part
-    Phi_d(q) is split as in omega_bounds_row, and a composite cofactor
-    counts 2 when _two_primes proves it; otherwise q**m - 1 is factored in
-    full.  Counts add, since cofactor primes of different parts are
-    distinct (see omega_bounds_row)."""
-    if not 1 <= m < TRIAL_LIMIT:
-        raise ValueError("omega needs 1 <= m < TRIAL_LIMIT")
+def _exact_omega(parts, cache: "FactorCache | None",
+                 budget: int = DEFAULT_FACTOR_BUDGET) -> int:
+    """omega(q**m - 1) from the splits of its parts: a composite cofactor
+    counts 2 when _two_primes proves it, and any other is finished alone.
+    Counts add, since cofactor primes of different parts are distinct (see
+    omega_bounds_row)."""
     primes: set[int] = set()
     pairs = 0
-    for d in _divisors_of(m):
-        fac, rem = _split_part(cyclotomic_value(d, q), d, cache)
-        primes.update(fac)
-        if rem > 1:
-            if not _two_primes(rem, d):
-                return omega(factor_qm_minus_1(q, m, cache=cache, budget=budget))
+    for part, d, fac, rem in parts:
+        if rem > 1 and _two_primes(rem, d):
             pairs += 1
+        elif rem > 1:
+            fac = dict(_finish_part(part, fac, rem, cache, budget).factors)
+        primes.update(fac)
     return len(primes) + 2 * pairs
-
-
-def omega_bounds_qm_minus_1(q: int, m: int, *,
-                            cache: "FactorCache | None" = None) -> tuple[int, int]:
-    """(lo, hi) with lo <= omega(q**m - 1) <= hi, from trial division alone:
-    the one-q case of omega_bounds_row."""
-    return next(omega_bounds_row([q], m, cache=cache))
 
 
 def omega_bounds_row(qs: list[int], m: int, *,
                      cache: "FactorCache | None" = None
-                     ) -> Iterator[tuple[int, int]]:
-    """(lo, hi) with lo <= omega(q**m - 1) <= hi for each q >= 2 of the row
-    qs in turn, yielded lazily, so the cache reads and writes of each q
-    happen before the caller acts on its bracket.
+                     ) -> Iterator[tuple[int, int, Callable[..., int]]]:
+    """(lo, hi, exact) with lo <= omega(q**m - 1) <= hi for each q >= 2 of
+    the row qs in turn, yielded lazily, so the cache reads and writes of
+    each q happen before the caller acts on its bracket; exact(budget)
+    finds omega(q**m - 1) from the split the bracket was read from,
+    splitting no part again.
 
     Each part Phi_d(q), d | m, is read from the cache or split by table d,
     which holds every prime below TRIAL_LIMIT that can divide it: for p not
@@ -635,10 +635,10 @@ def omega_bounds_row(qs: list[int], m: int, *,
     that is 1 or prime makes the part exact (and the part is cached); each
     prime of a cofactor exceeds TRIAL_LIMIT, so one below TRIAL_LIMIT**2
     is prime untested, and a composite cofactor c has at least 1 and at
-    most k distinct primes, k the largest with TRIAL_LIMIT**k < c.  (It
-    has exactly 2 when no prime up to cbrt(c) divides it and c is not a
-    square: the cube-root argument of _two_primes, which
-    omega_qm_minus_1 applies to a pair the bracket does not decide.)
+    most k distinct primes, k the largest with TRIAL_LIMIT**k < c.  exact
+    counts c as 2 when no prime up to cbrt(c) divides it and c is not a
+    square (the cube-root argument of _two_primes), and otherwise factors
+    that part alone by Pollard rho and caches it.
 
     Primes are unioned across parts and cofactor counts add.  This is
     sound because a prime dividing Phi_d(q) and Phi_e(q) for d != e must
@@ -651,10 +651,10 @@ def omega_bounds_row(qs: list[int], m: int, *,
     sieve = _RowSieve(qs) if len(qs) >= _ROW_SIEVE_MIN else None
     for i, q in enumerate(qs):
         divide = None if sieve is None else functools.partial(sieve.split, i)
+        parts = list(_split_parts(q, m, cache, divide))
         primes: set[int] = set()
         lo = hi = 0  # distinct primes inside the composite cofactors
-        for d in _divisors_of(m):
-            fac, rem = _split_part(cyclotomic_value(d, q), d, cache, divide)
+        for _, _, fac, rem in parts:
             primes.update(fac)
             if rem > 1:
                 k = 1
@@ -662,7 +662,8 @@ def omega_bounds_row(qs: list[int], m: int, *,
                     k += 1
                 lo += 1
                 hi += k
-        yield len(primes) + lo, len(primes) + hi
+        yield (len(primes) + lo, len(primes) + hi,
+               functools.partial(_exact_omega, parts, cache))
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +696,7 @@ def squarefree_divisors(f: FactoredInteger) -> list[FactoredInteger]:
     """All 2**omega squarefree divisors, sorted ascending by value."""
     divs = [FactoredInteger(1, ())]
     for p, _ in f.factors:
-        divs += [merge_factored(d, FactoredInteger(p, ((p, 1),))) for d in divs]
+        divs += [factored(d.value * p, d.factors + ((p, 1),)) for d in divs]
     return sorted(divs, key=lambda d: d.value)
 
 
@@ -789,7 +790,7 @@ class FactorCache:
             try:
                 with open(self.path) as fh:
                     self._data = json.load(fh)
-            except (OSError, ValueError):
+            except (OSError, ValueError, RecursionError):
                 self._data = {}
             if not isinstance(self._data, dict):
                 self._data = {}

@@ -31,12 +31,11 @@ import numpy as np
 from .arith import (
     DEFAULT_FACTOR_BUDGET,
     FactorCache,
-    FactoredInteger,
+    _divisors_of,
     factor,
     factor_qm_minus_1,
     moebius,
     omega_bounds_row,
-    omega_qm_minus_1,
     prime_power,
     prime_powers_upto,
     squarefree_divisor_count,
@@ -508,6 +507,9 @@ def resolve_pair(q: int, m: int, n: int, *,
                      for n1, n2 in splits_of(n)) <= f_budget
     if not exhaustive and sample_count < 1:
         raise ValueError("sample count must be positive")
+    if not exhaustive and sample_count > f_budget:
+        raise EnumerationBudgetExceeded(
+            f"sample count {sample_count} exceeds f budget {f_budget}")
     block = max(1, _BLOCK_ALPHAS // len(counter.codes))
     checked = 0
     for n1, n2 in splits_of(n):
@@ -579,14 +581,6 @@ def check_crosscheck(p: int, k: int, m: int, trials: int,
             f"{budget}")
 
 
-def _divisors(n: FactoredInteger) -> list[int]:
-    """Every divisor of n, ascending."""
-    divs = [1]
-    for r, e in n.factors:
-        divs = [d * r ** i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int, *,
                         budget: int = DEFAULT_ALPHA_BUDGET) -> CrosscheckReport:
     """Random (f, a, b, l1, l2) tuples: the character-sum count must round
@@ -595,7 +589,7 @@ def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int, *,
     from .characters import ChiPrecompute, count_via_characters
     check_crosscheck(ctx.p, ctx.k, ctx.m, trials, budget)
     rng = random.Random(seed)
-    divisors = _divisors(ctx.group_factors)
+    divisors = _divisors_of(ctx.order)
     max_dev = 0.0
     mismatches = []
     pres: dict[RationalFunction, ChiPrecompute] = {}
@@ -642,19 +636,19 @@ def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
     condition holds, margin < 0 at 2**lo means it fails without equality.
     Only for a pair whose bracket straddles margin 0 is omega found
     exactly, right after its bracket, so cache reads and writes keep their
-    order: omega_qm_minus_1 counts a composite cofactor with no prime up
-    to its cube root as two primes, and factors q**m - 1 in full (Pollard
-    rho) only when it cannot.  Equality is read only from an exact W."""
+    order: the row's exact(budget) reads the split the bracket came from,
+    counts a composite cofactor with no prime up to its cube root as two
+    primes, and factors a part by Pollard rho only when it cannot.
+    Equality is read only from an exact W."""
     out = []
     for m, qmax in sorted(threshold_cascade(n).items()):
         qs = prime_powers_upto(qmax)
-        for q, (lo, hi) in zip(qs, omega_bounds_row(qs, m, cache=cache)):
+        for q, (lo, hi, exact) in zip(qs, omega_bounds_row(qs, m, cache=cache)):
             margin = main_margin(q, m, n, 1 << hi)
             if margin <= 0 and lo < hi:
                 margin = main_margin(q, m, n, 1 << lo)
                 if margin >= 0:  # the bracket straddles 0: omega exactly
-                    margin = main_margin(q, m, n, 1 << omega_qm_minus_1(
-                        q, m, cache=cache, budget=budget))
+                    margin = main_margin(q, m, n, 1 << exact(budget))
             if margin <= 0:
                 out.append(ScanRecord(q, m, margin == 0))
     return out

@@ -22,9 +22,7 @@ from primpairs.arith import (
     moebius,
     nth_primes,
     omega,
-    omega_bounds_qm_minus_1,
     omega_bounds_row,
-    omega_qm_minus_1,
     primes_upto,
     squarefree_divisor_count,
     squarefree_divisors,
@@ -263,28 +261,28 @@ def test_factor_qm_minus_1_matches_direct():
 @given(st.sampled_from(arith.prime_powers_upto(64)),
        st.integers(min_value=1, max_value=15))
 def test_omega_bounds_contain_omega(q, m):
-    lo, hi = omega_bounds_qm_minus_1(q, m)
-    exact = omega(factor_qm_minus_1(q, m))
-    assert lo <= exact <= hi
+    lo, hi, exact = next(omega_bounds_row([q], m))
+    om = omega(factor_qm_minus_1(q, m))
+    assert lo <= om <= hi
     if lo == hi:
-        assert lo == exact
-    assert omega_qm_minus_1(q, m) == exact
+        assert lo == om
+    assert exact() == om
 
 
 def test_omega_bounds_strict_bracket():
     # Phi_13(53) keeps a composite cofactor after trial division
-    assert omega_bounds_qm_minus_1(53, 13) == (3, 5)
+    assert next(omega_bounds_row([53], 13))[:2] == (3, 5)
     assert omega(factor_qm_minus_1(53, 13)) == 4
 
 
 def test_omega_bounds_read_and_fill_cache(tmp_path):
     c = FactorCache(tmp_path / "cache.json")
-    assert omega_bounds_qm_minus_1(12, 2, cache=c) == (2, 2)  # 11 * 13
+    assert next(omega_bounds_row([12], 2, cache=c))[:2] == (2, 2)  # 11 * 13
     assert c.get(13) == ((13, 1),) and c.get(11) == ((11, 1),)
     factor_qm_minus_1(53, 13, cache=c)  # caches the composite part
-    assert omega_bounds_qm_minus_1(53, 13, cache=c) == (4, 4)
+    assert next(omega_bounds_row([53], 13, cache=c))[:2] == (4, 4)
     with pytest.raises(ValueError):
-        omega_bounds_qm_minus_1(2, arith.TRIAL_LIMIT)
+        next(omega_bounds_row([2], arith.TRIAL_LIMIT))
 
 
 def _prime_1_mod_14(x):
@@ -350,14 +348,31 @@ def test_progression_primes_are_the_primes_of_the_progression(step):
                           if p % step == 1]
 
 
-def test_omega_qm_minus_1_caches_only_factored_parts(tmp_path):
+def test_exact_omega_caches_only_factored_parts(tmp_path):
     c = FactorCache(tmp_path / "cache.json")
     part = arith.cyclotomic_value(7, 173)  # a proven product of two primes
-    assert omega_qm_minus_1(173, 7, cache=c) == 4  # 2, 43, and those two
+    _, _, exact = next(omega_bounds_row([173], 7, cache=c))
+    assert exact() == 4  # 2, 43, and those two
     assert c.get(172) == ((2, 2), (43, 1)) and c.get(part) is None
-    assert omega_qm_minus_1(173, 7, cache=c) == 4
-    with pytest.raises(ValueError):
-        omega_qm_minus_1(2, arith.TRIAL_LIMIT)
+    assert exact() == 4
+
+
+def test_exact_omega_finishes_the_held_split(tmp_path, monkeypatch):
+    # the cofactor of Phi_7(3061) has a prime below its cube root: exact
+    # factors that part alone by rho, from the split the bracket was read
+    # from, and caches it
+    from sympy import factorint
+
+    c = FactorCache(tmp_path / "cache.json")
+    _, _, exact = next(omega_bounds_row([3061], 7, cache=c))
+
+    def unexpected(n, d=1):
+        raise AssertionError("a part is split again")
+
+    monkeypatch.setattr(arith, "_trial_divide", unexpected)
+    assert exact() == len(factorint(3061 ** 7 - 1))
+    part = arith.cyclotomic_value(7, 3061)
+    assert c.get(part) == tuple(sorted(factorint(part).items()))
 
 
 def test_cyclotomic_values():
@@ -411,8 +426,8 @@ def test_root_sieve_splits_like_trial_division(d, qs):
 def test_omega_bounds_of_a_sieved_row_match_one_q_at_a_time(m):
     qs = arith.prime_powers_upto(4000)
     assert len(qs) >= arith._ROW_SIEVE_MIN
-    assert list(omega_bounds_row(qs, m)) == [
-        omega_bounds_qm_minus_1(q, m) for q in qs]
+    assert [b[:2] for b in omega_bounds_row(qs, m)] == [
+        next(omega_bounds_row([q], m))[:2] for q in qs]
 
 
 def test_cyclotomic_prime_factors_are_in_table_d():

@@ -341,6 +341,15 @@ def test_factor_ignores_poisoned_cache_entry(capsys, tmp_path):
     assert json.loads(cache.read_text())["91"] == [[7, 1], [13, 1]]
 
 
+def test_factor_treats_a_deeply_nested_cache_file_as_unreadable(capsys,
+                                                               tmp_path):
+    # json.load gives up on it with a RecursionError: every entry a miss
+    cache = tmp_path / "factors.json"
+    cache.write_text("[" * 200_000)
+    code, out, _ = run(capsys, "--cache", str(cache), "factor", "12")
+    assert (code, out) == (0, "2 2 3\n")
+
+
 def test_unwritable_cache_keeps_output(tmp_path, capsys):
     # the result is written first; the failed save is one clean line
     code, out, err = run(capsys, "--cache", str(tmp_path), "factor", "6")

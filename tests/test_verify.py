@@ -14,7 +14,6 @@ from primpairs.arith import (
     FactorCache,
     euler_phi,
     factor_qm_minus_1,
-    omega_bounds_qm_minus_1,
 )
 from primpairs.bounds import main_margin
 from primpairs.characters import count_via_characters
@@ -554,6 +553,18 @@ def test_resolve_sampled_is_reproducible():
     assert a.serialize() == b.serialize()
 
 
+def test_resolve_refuses_a_sample_count_above_the_f_budget(monkeypatch):
+    # 10**9 draws would need a 10**9 x 5 int64 array before the first row
+    def unexpected(*args):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(V, "_draw_rows", unexpected)
+    with pytest.raises(EnumerationBudgetExceeded, match="sample count"):
+        resolve_pair(2, 8, 2, sample_count=10 ** 9)
+    with pytest.raises(EnumerationBudgetExceeded):
+        resolve_pair(2, 8, 2, sample_count=101, f_budget=100)
+
+
 SAMPLED_PAIRS = ((2, 8), (2, 9), (3, 7), (2, 10), (2, 11), (2, 12))
 
 
@@ -617,7 +628,7 @@ def test_crosscheck_reproducible(F9):
 def test_divisors_from_group_factors(F9, F64, F81):
     # crosscheck_identity's rng.choice needs them in ascending order
     for ctx in (F9, F64, F81, build_ctx(2, 1, 12)):
-        assert V._divisors(ctx.group_factors) == [
+        assert arith._divisors_of(ctx.order) == [
             d for d in range(1, ctx.N) if ctx.order % d == 0]
 
 
@@ -639,6 +650,22 @@ def test_brute_force_agrees_with_characters_on_F81(F81):
             assert round(approx) == exact
 
 
+def _track_exact(monkeypatch):
+    """Record (q, m, lo, hi, omega) for each exact count scan_exceptions
+    asks of omega_bounds_row."""
+    row, sent = V.omega_bounds_row, []
+
+    def tracked_row(qs, m, **kwargs):
+        for q, (lo, hi, exact) in zip(qs, row(qs, m, **kwargs)):
+            def counting(budget, q=q, lo=lo, hi=hi, exact=exact):
+                sent.append((q, m, lo, hi, exact(budget)))
+                return sent[-1][-1]
+            yield lo, hi, counting
+
+    monkeypatch.setattr(V, "omega_bounds_row", tracked_row)
+    return sent
+
+
 def test_scan_factors_only_straddling_pairs(monkeypatch):
     """scan_exceptions decides the main condition from the trial-division
     bracket on omega; omega is found exactly only for the pairs whose
@@ -648,27 +675,21 @@ def test_scan_factors_only_straddling_pairs(monkeypatch):
     products of two primes."""
     from sympy import factorint
 
-    exact, rho = V.omega_qm_minus_1, arith._brent_rho
-    sent, split = [], []
-
-    def counting(q, m, **kwargs):
-        sent.append((q, m))
-        return exact(q, m, **kwargs)
+    rho, split = arith._brent_rho, []
 
     def tracked_rho(n, budget):
         split.append(n)
         return rho(n, budget)
 
-    monkeypatch.setattr(V, "omega_qm_minus_1", counting)
+    sent = _track_exact(monkeypatch)
     monkeypatch.setattr(arith, "_brent_rho", tracked_rho)
     records = V.scan_exceptions(2)
     assert len(records) == 495
-    assert len(sent) == 47 and {m for _, m in sent} == {7}
+    assert len(sent) == 47 and {m for _, m, *_ in sent} == {7}
     assert split == [arith._trial_divide(arith.cyclotomic_value(7, 3061), 7)[1]]
-    for q, m in sent:
-        lo, hi = omega_bounds_qm_minus_1(q, m)
+    for q, m, lo, hi, om in sent:
         assert main_margin(q, m, 2, 1 << hi) <= 0 <= main_margin(q, m, 2, 1 << lo)
-        assert exact(q, m) == len(factorint(q ** m - 1))
+        assert om == len(factorint(q ** m - 1))
 
 
 def test_scan_records_and_saved_cache_are_pinned(tmp_path, monkeypatch):
@@ -678,14 +699,7 @@ def test_scan_records_and_saved_cache_are_pinned(tmp_path, monkeypatch):
     whose cofactor is proven a product of two primes is not factored, so
     it is not saved; once the straddling pairs are factored the cache
     holds, up to order, what it held when the scan factored them."""
-    exact = V.omega_qm_minus_1
-    sent = []
-
-    def counting(q, m, **kwargs):
-        sent.append((q, m))
-        return exact(q, m, **kwargs)
-
-    monkeypatch.setattr(V, "omega_qm_minus_1", counting)
+    sent = _track_exact(monkeypatch)
     cache = FactorCache(tmp_path / "factors.json")
     records = V.scan_exceptions(2, cache=cache)
     cache.save()
@@ -695,7 +709,7 @@ def test_scan_records_and_saved_cache_are_pinned(tmp_path, monkeypatch):
     digest = hashlib.sha256(cache.path.read_bytes()).hexdigest()
     assert digest == ("93707c4b96859e2d4b2367b39efa0f29"
                       "d2c5fca4e6196f21b107e23e6b9433b2")
-    for q, m in sent:
+    for q, m, *_ in sent:
         factor_qm_minus_1(q, m, cache=cache)
     cache.save()
     content = json.dumps(json.loads(cache.path.read_text()), sort_keys=True)
@@ -704,35 +718,39 @@ def test_scan_records_and_saved_cache_are_pinned(tmp_path, monkeypatch):
                       "f5ee4b8f936f28132dd2920660c2a489")
 
 
-def test_scan_long_row_is_root_sieved(monkeypatch):
-    """The m = 7 row (2,290 prime powers) splits its parts by the root
-    sieve: it reaches _trial_divide only inside omega_qm_minus_1, for
-    the pairs whose bracket straddles margin 0.  Shorter rows still
-    trial-divide."""
-    where = {"m": None, "exact": False}
+def test_scan_long_row_is_root_sieved(tmp_path, monkeypatch):
+    """The m = 7 row (2,290 prime powers) splits its parts Phi_d(q) by the
+    root sieve, and the exact counts of its straddling pairs read those
+    splits: no part of the row is trial-divided.  Shorter rows still
+    trial-divide.  factor(), which cyclotomic_value runs on d the first
+    time it meets d, splits no part, so its trial divisions are not
+    counted."""
+    where = {"m": None, "factor": False}
     calls = []
-    row, exact = V.omega_bounds_row, V.omega_qm_minus_1
-    trial = arith._trial_divide
+    row, fac, trial = V.omega_bounds_row, arith.factor, arith._trial_divide
 
     def tracked_row(qs, m, **kwargs):
         where["m"] = m
         yield from row(qs, m, **kwargs)
 
-    def tracked_exact(q, m, **kwargs):
-        where["exact"] = True
+    def tracked_factor(n, **kwargs):
+        where["factor"] = True
         try:
-            return exact(q, m, **kwargs)
+            return fac(n, **kwargs)
         finally:
-            where["exact"] = False
+            where["factor"] = False
 
     def tracked_trial(n, d=1):
-        calls.append((where["m"], where["exact"]))
+        if not where["factor"]:
+            calls.append(where["m"])
         return trial(n, d)
 
     monkeypatch.setattr(V, "omega_bounds_row", tracked_row)
-    monkeypatch.setattr(V, "omega_qm_minus_1", tracked_exact)
+    monkeypatch.setattr(arith, "factor", tracked_factor)
     monkeypatch.setattr(arith, "_trial_divide", tracked_trial)
-    assert len(V.scan_exceptions(2)) == 495
-    assert (7, False) not in calls
-    assert (7, True) in calls
-    assert (8, False) in calls
+    sent = _track_exact(monkeypatch)
+    cache = FactorCache(tmp_path / "factors.json")
+    assert len(V.scan_exceptions(2, cache=cache)) == 495
+    assert len(sent) == 47
+    assert 7 not in calls
+    assert 8 in calls
