@@ -212,7 +212,7 @@ def build_parser() -> _Parser:
         s.add_argument("n", type=int)
         if name == "verify":
             s.add_argument("--sample", type=int, default=1000)
-            s.add_argument("--seed", type=int, dest="sub_seed", default=None)
+            s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         s.set_defaults(func=func)
 
     s = sub.add_parser("appendix2", help="recompute listed certificate rows")
@@ -232,7 +232,7 @@ def build_parser() -> _Parser:
     s.add_argument("k", type=int)
     s.add_argument("m", type=int)
     s.add_argument("trials", type=int)
-    s.add_argument("--seed", type=int, dest="sub_seed", default=None)
+    s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     s.set_defaults(func=cmd_crosscheck)
 
     return parser
@@ -240,8 +240,6 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "sub_seed", None) is not None:
-        args.seed = args.sub_seed
     path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV)
     args.cache = FactorCache(path) if path else None
     try:

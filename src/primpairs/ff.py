@@ -339,28 +339,26 @@ class FieldCtx(_CodeField):
 
     # -- digit-wise arithmetic on codes or code arrays
 
-    def add(self, a, b):
+    def _digitwise(self, a, b, sign):
+        """The code of a + sign * b, sign = 1 or -1, digit by digit."""
         if self.p == 2:
             return a ^ b
-        # (a // w + b // w) % p is the sum of the two digits of weight w:
-        # the higher digits only add multiples of p
+        # (a // w + sign * (b // w)) % p is that sum of the two digits of
+        # weight w: the higher digits only add multiples of p
         p, out, w = self.p, 0, 1
         for _ in range(self.k * self.m):
-            out = out + (a // w + b // w) % p * w
+            out = out + (a // w + sign * (b // w)) % p * w
             w *= p
         return out
+
+    def add(self, a, b):
+        return self._digitwise(a, b, 1)
 
     def neg(self, a):
-        if self.p == 2:
-            return a
-        p, out, w = self.p, 0, 1
-        for _ in range(self.k * self.m):
-            out = out + -(a // w) % p * w
-            w *= p
-        return out
+        return self._digitwise(0, a, -1)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._digitwise(a, b, -1)
 
     # -- multiplicative arithmetic on codes
 

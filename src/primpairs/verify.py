@@ -5,11 +5,11 @@ earns it the hard way: enumerate representatives of R_{n1,n2}, walk every
 alpha, and count.  A representative c * p/q is a row of coefficient codes
 from enumerate_R, which yields blocks of rows (the monic pairs scaled by
 one c with varr_mul, or a block of seeded draws), to the one counting
-kernel.  The seeded draws are defined by a scalar random.Random loop
-(randrange for c, then for p and q until irreducible); _draw_rows
-replays its 32-bit word stream in numpy, chunk by chunk, with the same
-rows and the same final generator state, and tests a chunk's candidates
-for irreducibility in one FieldCtx.irreducible_mask call.  The kernel,
+kernel.  _draw_rows draws a sample phase by phase from random.Random's
+32-bit words: every c, then every p, then every q, with the rows
+FieldCtx.irreducible_mask refuses drawn again in one call per round.  A
+sample can only find a witness, so its stream is pinned by seed and
+count, not matched to any other sampler.  The kernel,
 _GridCounter.grids, works on discrete logs (g^k is r-free exactly when r
 does not divide k), evaluates a block at every alpha in one 2-D Horner
 pass whose step is one Zech-logarithm lookup,
@@ -54,7 +54,6 @@ from .ff import (
     build_ctx,
     check_field,
     find_irreducibles,
-    poly_rows_from_index,
 )
 
 DEFAULT_ALPHA_BUDGET = 1 << 20  # exhaustive alpha-loops up to this field size
@@ -114,17 +113,11 @@ def enumerate_R(n1: int, n2: int, ctx: FieldCtx, *,
     Without count and seed, every representative: the monic pairs (p, q)
     in canonical code order, one block per scale c = 1, ..., N-1, so the
     stream walks c, then numerator, then denominator.  With them, one block
-    of `count` representatives drawn from random.Random(seed) (duplicates
-    possible): the draws are those of the loop
-
-        c = rng.randrange(1, N)
-        p = draw(n1)
-        q = draw(n2), again while n1 == n2 and q == p
-
-    where draw(d) is (1,) for d = 0 and otherwise the monic
-    poly_from_index(d, rng.randrange(N^d), N), again until irreducible.
-    That stream, row for row and with the generator's final state, is the
-    contract; _draw_rows replays it in numpy.
+    of `count` representatives from _draw_rows(n1, n2, ctx,
+    random.Random(seed), count) (duplicates possible): c uniform in
+    [1, N), p and q uniform among the monic irreducibles of their degrees,
+    and q != p on the middle split.  The block depends on count as well as
+    on seed: a smaller sample is not a prefix of a larger one.
     """
     if n1 == 0 and n2 == 0:
         raise ValueError("degenerate split (0, 0)")
@@ -148,122 +141,48 @@ def enumerate_R(n1: int, n2: int, ctx: FieldCtx, *,
 # ---------------------------------------------------------------------------
 # seeded draws
 
-_CHUNK_WORDS = 1 << 14  # generator words parsed at a time, at most
+def _uniform(rng: random.Random, width: int, count: int) -> np.ndarray:
+    """`count` values uniform below width (at most 2^32): the top k bits of
+    each of rng's next 32-bit words, k = max(1, bit length of width - 1),
+    kept in word order where they fall below width."""
+    shift = 32 - max(1, (width - 1).bit_length())
+    out = np.empty(0, dtype=np.int64)
+    while len(out) < count:
+        need = count - len(out)
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        v = np.frombuffer(raw, dtype="<u4").astype(np.int64) >> shift
+        out = np.concatenate([out, v[v < width]])
+    return out
 
 
-class _Draw:
-    """One draw of the stream: rng.randrange(width), as random.Random makes
-    it, tried again until the value is valid.  Each attempt is
-    getrandbits(k), k the bit length of width: w = ceil(k/32) generator
-    words, little-endian, the last shifted right by 32 w - k, and it fails
-    when the value is not below width.  The scale c has width N-1 (and
-    offset 1); a polynomial of degree d >= 1 has width N^d, its value is
-    the index of a monic polynomial, and that must be irreducible:
-    FieldCtx.irreducible_mask decides every in-range attempt of a chunk at
-    once."""
-
-    def __init__(self, ctx: FieldCtx, degree: int | None):
-        self.ctx, self.degree = ctx, degree
-        self.width = ctx.order if degree is None else ctx.N ** degree
-        self.k = self.width.bit_length()
-        self.w = -(-self.k // 32)
-        valid = (self.width if degree is None
-                 else _irreducible_count(ctx, degree))
-        self.words = self.w * (1 << self.k) / valid  # expected per draw
-
-    def parse(self, words: np.ndarray, size: int) -> tuple:
-        """(value, nxt) on the positions 0..size-1 of a chunk of L words:
-        value[i] is the attempt begun at word i (-1 where it would run past
-        the chunk), nxt[i] the first position i + j w, j >= 0, whose
-        attempt is valid, or the end mark L + 1 if there is none."""
-        k, w = self.k, self.w
-        n = len(words) - w + 1
-        ws = words if k < 64 else words.astype(object)
-        v = ws[w - 1:] >> (32 * w - k)
-        for j in range(w - 2, -1, -1):
-            v = (v << 32) | ws[j:j + n]
-        ok = np.flatnonzero((v < self.width).astype(bool))
-        if k < 64:
-            v = v.astype(np.int64)
-        if self.degree is not None and self.degree >= 2:
-            rows = poly_rows_from_index(self.degree, v[ok], self.ctx.N)
-            ok = ok[self.ctx.irreducible_mask(rows[:, :-1])]
-        value = np.full(size, -1, dtype=v.dtype)
-        value[:n] = v
-        cand = np.full(-(-size // w) * w, len(words) + 1, dtype=np.int64)
-        cand[ok] = ok
-        # the least valid position at or after i in i's residue class mod w
-        cols = cand.reshape(-1, w)[::-1]
-        nxt = np.minimum.accumulate(cols, axis=0)[::-1].ravel()[:size]
-        return value, nxt
+def _monic_rows(d: int, ctx: FieldCtx, rng: random.Random, count: int,
+                other: np.ndarray | None = None) -> np.ndarray:
+    """`count` monic irreducible rows of degree d, lowest degree first: d
+    codes of _uniform(N) a row, and the rows irreducible_mask refuses, or
+    that equal their row of `other`, drawn again in row order."""
+    rows = np.ones((count, d + 1), dtype=np.int64)
+    todo = np.arange(count if d else 0)
+    while len(todo):
+        low = _uniform(rng, ctx.N, len(todo) * d).reshape(-1, d)
+        rows[todo, :d] = low
+        bad = ~ctx.irreducible_mask(low)
+        if other is not None:
+            bad |= (rows[todo] == other[todo]).all(axis=1)
+        todo = todo[bad]
+    return rows
 
 
 def _draw_rows(n1: int, n2: int, ctx: FieldCtx, rng: random.Random,
                count: int) -> np.ndarray:
-    """`count` rows (c, p, q) of coefficients, p and q lowest degree first
-    and monic, as enumerate_R's draw loop takes them from rng; rng ends in
-    the state that loop leaves it in.
-
-    The generator's words are read in chunks: getrandbits(32 L) is the next
-    L words, and after setstate, getrandbits(32 J) skips J of them.  Each
-    draw parses the chunk once (_Draw.parse), so for every word s at once
-    a representative begun at s takes its c at nxt_c[s], its p at
-    nxt_p[s_c + w_c] and its q after that (again while q = p), and the next
-    one begins at the word f(s) after it.  The representatives in the
-    chunk are the orbit of word 0 under f, found by pointer doubling; the
-    generator skips exactly the words they use, and the next chunk goes on
-    from there."""
+    """`count` rows (c, p, q) of coefficients drawn from rng, p and q monic
+    and lowest degree first: every c as 1 + _uniform(N - 1), then every p,
+    then every q (again where q = p on the middle split)."""
     if n1 == n2 and count_R(n1, n2, ctx) == 0:
         raise ValueError(f"R_{n1},{n2} has no representatives to draw")
-    # the draws by degree (None: the scale c) and in stream order
-    kinds = {d: _Draw(ctx, d) for d in {None, n1, n2} if d != 0}
-    order = [None] + [d for d in (n1, n2) if d]
-    wmax = max(d.w for d in kinds.values())
-    per_row = sum(kinds[d].words for d in order)
-    rows = np.empty((count, n1 + n2 + 3), dtype=np.int64)
-    need, short = count, 0
-    while need > 0:
-        # the words the rows still needed are expected to take, and a margin
-        L = max(short, min(_CHUNK_WORDS, int(1.25 * need * per_row) + 32))
-        state = rng.getstate()
-        raw = rng.getrandbits(32 * L).to_bytes(4 * L, "little")
-        words = np.frombuffer(raw, dtype="<u4").astype(np.uint64)
-        rng.setstate(state)
-        end, size = L + 1, L + 2 + wmax
-        parsed = {d: kind.parse(words, size) for d, kind in kinds.items()}
-        s = np.arange(size)
-        picks = []
-        for i, d in enumerate(order):
-            value, nxt = parsed[d]
-            at = nxt[s]
-            if i == 2 and n1 == n2:  # q again while it equals p
-                p_at = picks[1]
-                redo = np.flatnonzero((at < end) & (value[at] == value[p_at]))
-                while len(redo):
-                    at[redo] = nxt[at[redo] + kinds[d].w]
-                    redo = redo[(at[redo] < end)
-                                & (value[at[redo]] == value[p_at[redo]])]
-            picks.append(at)
-            s = at + kinds[d].w
-        orbit, jump = np.zeros(1, dtype=np.int64), np.minimum(s, end)
-        while len(orbit) <= need and orbit[-1] != end:
-            orbit = np.concatenate([orbit, jump[orbit]])
-            jump = jump[jump]
-        done = min(need, int(np.count_nonzero(orbit[1:] != end)))
-        if done == 0:  # one representative outruns the chunk
-            short = 2 * L
-            continue
-        short = 0
-        starts = orbit[:done]
-        vals = iter(parsed[d][0][at[starts]] for d, at in zip(order, picks))
-        c = next(vals)
-        pq = [poly_rows_from_index(d, next(vals) if d else c, ctx.N)
-              for d in (n1, n2)]
-        rows[count - need:count - need + done] = np.hstack([c[:, None] + 1,
-                                                            *pq])
-        rng.getrandbits(32 * int(orbit[done]))
-        need -= done
-    return rows
+    c = 1 + _uniform(rng, ctx.order, count)
+    p = _monic_rows(n1, ctx, rng, count)
+    q = _monic_rows(n2, ctx, rng, count, p if n1 == n2 else None)
+    return np.column_stack([c, p, q])
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +400,8 @@ def resolve_pair(q: int, m: int, n: int, *,
                  cache: FactorCache | None = None,
                  factor_budget: int = DEFAULT_FACTOR_BUDGET) -> PairVerdict:
     """Cheapest-first membership pipeline for (q, m) in Q_n."""
+    if sample_count < 1:
+        raise ValueError("sample count must be positive")
     p, k = prime_power(q)
     group = factor_qm_minus_1(q, m, cache=cache, budget=factor_budget)
     W = squarefree_divisor_count(group)
@@ -505,8 +426,6 @@ def resolve_pair(q: int, m: int, n: int, *,
     counter = _GridCounter(ctx, ctx.order)
     exhaustive = sum(count_R(n1, n2, ctx)
                      for n1, n2 in splits_of(n)) <= f_budget
-    if not exhaustive and sample_count < 1:
-        raise ValueError("sample count must be positive")
     if not exhaustive and sample_count > f_budget:
         raise EnumerationBudgetExceeded(
             f"sample count {sample_count} exceeds f budget {f_budget}")

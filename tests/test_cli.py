@@ -124,12 +124,20 @@ def test_verify_emits_verdict_with_manifest(capsys):
 
 
 def test_verify_seed_after_subcommand(capsys):
-    code, out, _ = run(capsys, "verify", "3", "7", "2",
+    # a subcommand --seed overrides the global one, and without it the
+    # global one stands; help names the option's one value
+    code, out, _ = run(capsys, "--seed", "5", "verify", "3", "7", "2",
                        "--sample", "30", "--seed", "1")
     blob = json.loads(out)
     assert blob["verdict"]["status"] == "verified_sampled"
     assert blob["verdict"]["seed"] == 1
     assert blob["manifest"]["seed"] == 1
+    code, out, _ = run(capsys, "--seed", "5", "verify", "3", "7", "2",
+                       "--sample", "30")
+    assert json.loads(out)["manifest"]["seed"] == 5
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--seed SEED" in capsys.readouterr().out
 
 
 def test_verify_deterministic(capsys):
@@ -241,9 +249,11 @@ def test_crosscheck_refuses_nonpositive_k_and_m(capsys, argv):
     ("verify", "2", "8", "2", "--sample", "0"),
     ("crosscheck", "3", "1", "2", "0"),
     ("crosscheck", "3", "1", "2", "-4"),
+    ("verify", "2", "3", "1", "--sample", "0"),
 ])
 def test_empty_evidence_is_invalid(capsys, argv):
-    # zero samples or zero trials check nothing, so they cannot verify
+    # zero samples or zero trials check nothing, so they cannot verify;
+    # the sample count is refused even where no sampling would happen
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert "invalid input" in err

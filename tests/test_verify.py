@@ -23,7 +23,6 @@ from primpairs.ff import (
     find_irreducibles,
     is_irreducible_poly,
     poly_eval,
-    poly_from_index,
 )
 from primpairs.refdata import load_certificate_rows
 from primpairs.verify import (
@@ -156,61 +155,100 @@ def test_sampled_representatives_validate(F64):
             RationalFunction(F64, f.num, f.den)
 
 
-def _draw_irreducible(degree, F, rng):
-    if degree == 0:
-        return (1,)
-    if degree == 1:
-        return (rng.randrange(F.N), 1)
-    while True:
-        cs = poly_from_index(degree, rng.randrange(F.N ** degree), F.N)
-        if is_irreducible_poly(F, cs):
-            return cs
+def _contract_rows(n1, n2, F, rng, count):
+    """The draw contract read one generator word at a time, over a context
+    or its TabledField F: the oracle _draw_rows is tested against.  A value
+    below width is the top k bits of a 32-bit word, k = max(1, bit length of
+    width - 1), and a word that is not below width is skipped; a round
+    draws every row still open, and a row is open again when the scalar
+    is_irreducible_poly refuses it or it equals p on the middle split."""
+    def uniform(width):
+        k = max(1, (width - 1).bit_length())
+        while (v := rng.getrandbits(32) >> (32 - k)) >= width:
+            pass
+        return v
 
+    def monic(d, other):
+        rows, todo = [(1,)] * count, list(range(count)) if d else []
+        while todo:
+            for i in todo:
+                rows[i] = tuple(uniform(F.N) for _ in range(d)) + (1,)
+            todo = [i for i in todo if not is_irreducible_poly(F, rows[i])
+                    or other is not None and rows[i] == other[i]]
+        return rows
 
-def _draw_representative(n1, n2, F, rng):
-    """The scalar draw loop enumerate_R's stream is defined by, over a
-    context or its TabledField F: the oracle the numpy replay is tested
-    against.  Its irreducibility test is the scalar is_irreducible_poly,
-    not the FieldCtx.irreducible_mask the replay runs."""
-    c = rng.randrange(1, F.N)
-    p = _draw_irreducible(n1, F, rng)
-    while True:
-        q = _draw_irreducible(n2, F, rng)
-        if not (n1 == n2 and p == q):
-            break
-    return (c, *p, *q)
+    c = [1 + uniform(F.N - 1) for _ in range(count)]
+    p = monic(n1, None)
+    q = monic(n2, p if n1 == n2 else None)
+    return [[ci, *pi, *qi] for ci, pi, qi in zip(c, p, q)]
 
 
 @pytest.mark.parametrize("pkm, counts", [
     ((2, 1, 1), (1, 2, 1000)), ((2, 2, 1), (1, 2, 1000)),
     ((3, 1, 2), (1, 2, 1000)), ((3, 2, 2), (1, 2, 1000)),
     ((2, 1, 12), (1, 2, 50))])
-def test_draw_rows_replay_the_scalar_draw_loop(pkm, counts, scalar_field):
-    # same rows and same final generator state as the scalar loop, on every
-    # split of n = 2 and n = 3: F_2 still spends words on randrange(1, 2),
-    # F_{2^12} draws cubics of 37 bits (two words an attempt; its 1000-draw
-    # stream is pinned by test_sampled_draw_stream_is_pinned)
+def test_draw_rows_follow_the_word_contract(pkm, counts, scalar_field):
+    # same rows and same final generator state as the scalar reading, on
+    # every split of n = 2 and n = 3: F_2 still spends words on c in
+    # [1, 2), F_{2^12} draws cubics; every c is in [1, N), p and q are
+    # monic, irreducible and of their degrees, and p != q on middle splits
     ctx = build_ctx(*pkm)
+    F = scalar_field(ctx)
     for n1, n2 in splits_of(2) + splits_of(3):
         for count in counts:
             seed = 100 * n1 + 10 * n2 + count
             got, want = random.Random(seed), random.Random(seed)
-            rows = V._draw_rows(n1, n2, ctx, got, count)
-            assert rows.tolist() == [
-                list(_draw_representative(n1, n2, scalar_field(ctx), want))
-                for _ in range(count)], (n1, n2, count)
+            rows = V._draw_rows(n1, n2, ctx, got, count).tolist()
+            assert rows == _contract_rows(n1, n2, F, want, count), (
+                n1, n2, count)
             assert got.getstate() == want.getstate()
+            for c, *pq in rows:
+                p, q = tuple(pq[:n1 + 1]), tuple(pq[n1 + 1:])
+                assert 1 <= c < ctx.N
+                assert len(q) == n2 + 1 and p[-1] == q[-1] == 1
+                assert all(0 <= x < ctx.N for x in pq)
+                assert n1 == 0 or is_irreducible_poly(F, p)
+                assert n2 == 0 or is_irreducible_poly(F, q)
+                assert n1 != n2 or p != q
 
 
 def test_draw_rows_continue_a_shared_generator(F9):
     # crosscheck_identity interleaves one-row draws with its own calls on
-    # the same generator
-    got, want = random.Random(3), random.Random(3)
-    for n1, n2 in [(1, 1), (2, 0), (0, 2), (1, 1), (2, 0)] * 4:
-        assert got.randrange(9) == want.randrange(9)
-        row, = V._draw_rows(n1, n2, F9, got, 1).tolist()
-        assert row == list(_draw_representative(n1, n2, F9, want))
+    # the same generator: the draws are the contract's, and the interleaved
+    # stream is the same at the same seed
+    def stream(rng, draw):
+        out = []
+        for n1, n2 in [(1, 1), (2, 0), (0, 2), (1, 1), (2, 0)] * 4:
+            out.append(rng.randrange(9))
+            out.append(draw(n1, n2, rng))
+        return out
+
+    def rows(n1, n2, rng):
+        return V._draw_rows(n1, n2, F9, rng, 1).tolist()
+
+    got, again, want = random.Random(3), random.Random(3), random.Random(3)
+    assert stream(got, rows) == stream(again, rows) == stream(
+        want, lambda n1, n2, rng: _contract_rows(n1, n2, F9, rng, 1))
     assert got.getstate() == want.getstate()
+
+
+def test_draw_rows_are_uniform_on_F4(F4):
+    # fixed-seed chi-square against uniform: the 6 monic irreducible
+    # quadratics over F_4 and the 3 values of c, at the 0.1 % critical
+    # values of 5 and 2 degrees of freedom
+    rows = V._draw_rows(2, 0, F4, random.Random(0), 6000)
+    quads = list(find_irreducibles(2, F4))
+    assert len(quads) == 6
+
+    def chi2(values, cells):
+        seen = dict.fromkeys(cells, 0)
+        for v in values:
+            seen[v] += 1
+        expect = len(values) / len(cells)
+        return sum((n - expect) ** 2 / expect for n in seen.values())
+
+    assert chi2([tuple(r) for r in rows[:, 1:4].tolist()], quads) < 20.52
+    assert chi2(rows[:, 0].tolist(), [1, 2, 3]) < 13.82
 
 
 def test_draw_rows_refuse_an_empty_split():
@@ -223,7 +261,8 @@ def test_sampled_draw_stream_is_pinned():
     # every sampled verdict is verified_sampled whatever its rows, so the
     # rows themselves are pinned: 1000 draws per split at seeds 0 and 1 on
     # the sampled fields, F_{9^2} and F_{5^3} (n = 2), and the cubic splits
-    # of F_{2^12} and F_{2^7}.  The digest was taken from the scalar loop.
+    # of F_{2^12} and F_{2^7}.  The digest was taken from the rows of
+    # _contract_rows, the word-at-a-time reading of the draw contract.
     fields = [(q, 1, m) for q, m in SAMPLED_PAIRS]  # every q is prime
     cases = ([(pkm, s) for pkm in fields + [(3, 2, 2), (5, 1, 3)]
               for s in splits_of(2)]
@@ -236,7 +275,7 @@ def test_sampled_draw_stream_is_pinned():
             h.update(np.asarray(num, dtype="<i8").tobytes())
             h.update(np.asarray(den, dtype="<i8").tobytes())
     assert h.hexdigest() == (
-        "915fb0a926f2bd815ec29b0a816c6cd660efd539ba51e4226bcd5b2085fc29f7")
+        "fb0ce202fc3547ad7f40628c8e6b4589a84cb538fc0a547dd2798f3bb41b2349")
 
 
 # -- brute-force counts -----------------------------------------------------
