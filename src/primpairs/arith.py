@@ -2,32 +2,37 @@
 
 Everything here is deterministic.  Factoring trial-divides by the primes
 below 10**6 that can divide the number (p = 1 mod d or p | d for a part
-Phi_d(q) of q**m - 1) behind prime-product gcds, then runs Brent's Pollard
-rho with a fixed parameter sequence.  Primality is a lookup in the prime
-table up to its limit, then Miller-Rabin with the first k prime witnesses,
-k the least with n < psi_k, where psi_k is the least strong pseudoprime to
-those k bases (the ladder 2047, 1373653, ... of Jaeschke and of Sorenson
-and Webster, proven up to psi_12 ~ 3.2e23), and the first 24 primes from
-psi_12 on.  A cofactor left by trial division has no prime below
-TRIAL_LIMIT, so below TRIAL_LIMIT**2 it is prime without a test: two of
-its primes would multiply past that.
+Phi_d(q) of q**m - 1) behind prime-product gcds, up to the square root of
+what is left, then runs Brent's Pollard rho with a fixed parameter
+sequence.  Primality is a lookup in the prime table up to its limit, then
+Miller-Rabin with the first k prime witnesses, k the least with
+n < psi_k, where psi_k is the least strong pseudoprime to those k bases
+(the ladder 2047, 1373653, ... of Jaeschke and of Sorenson and Webster,
+proven up to psi_12 ~ 3.2e23), and the first 24 primes from psi_12 on.  A
+cofactor left by trial division has no prime below TRIAL_LIMIT, so below
+TRIAL_LIMIT**2 it is prime without a test: two of its primes would
+multiply past that.  A larger cofactor is tested only where its primes
+are read.
 
 The quantities of interest downstream are the group orders q**m - 1 and
 their derived multiplicative functions: omega (distinct prime count),
 W = 2**omega (squarefree divisor count), phi and mu.  Each part Phi_d(q)
 of q**m - 1 is split once, by `_split_parts`, into its primes below
 TRIAL_LIMIT and a cofactor, and every consumer reads that split:
-`factor_qm_minus_1` finishes each part by Pollard rho, and where only W
-matters `omega_bounds_row` brackets omega(q**m - 1) for a row of q from
-the splits alone and hands them on, held, to an exact count for a pair
-the bracket does not decide.  That count still mostly avoids rho: a
-composite cofactor of Phi_d(q) has only primes p = 1 (mod lcm(2, d))
-above TRIAL_LIMIT, so when none of them up to its cube root divides it,
-it is a product of two primes; any other part is finished alone.  A
-long row finds the small primes of all its parts Phi_d(q) at once by a
-root sieve: for p not dividing d, p | Phi_d(q) exactly when q mod p is a
-primitive d-th root of unity mod p, so each root marks the q of the row
-in one residue class.  It gives the same split as trial division.
+`factor_qm_minus_1` finishes each part by a primality test and Pollard
+rho, and where only W matters `omega_bounds_row` brackets omega(q**m - 1)
+for a row of q from the splits alone, no cofactor tested, and hands them
+on, held, to an exact count for a pair the bracket does not decide.  That
+count tests each cofactor, and for a composite one still mostly avoids
+rho: a composite cofactor of Phi_d(q) has only primes p = 1
+(mod lcm(2, d)) above TRIAL_LIMIT, so when none of them up to its cube
+root divides it, it is a product of two primes; any other part is
+finished alone.  A long row finds the small primes of all its parts
+Phi_d(q) at once by a root sieve: for p not dividing d, p | Phi_d(q)
+exactly when q mod p is a primitive d-th root of unity mod p, so each
+root marks the q of the row in one residue class.  Once `_split_part`
+takes in a cofactor below TRIAL_LIMIT**2, it gives the same split as
+trial division.
 Cached factorizations are checked on read (primes prime, product equal to
 the key), so a corrupt cache file costs time, never a wrong W.
 
@@ -180,12 +185,19 @@ def _get_trial_chunks(d: int) -> list[tuple[int, int, int]]:
 
 
 def _trial_divide(n: int, d: int = 1) -> tuple[dict[int, int], int]:
-    """Split n >= 1 into {p: e} over its primes in table d and a cofactor,
-    whose primes all exceed TRIAL_LIMIT if d = 1 or n is a value of Phi_d."""
+    """Split n >= 1, with d = 1 or n a value of Phi_d, into primes {p: e}
+    and a cofactor that is 1 or at least TRIAL_LIMIT**2 with no prime
+    below TRIAL_LIMIT, by table d, which holds every prime below
+    TRIAL_LIMIT that can divide n.
+
+    Division stops at the first chunk whose least prime P has P*P > rem:
+    every prime of rem is then at least P, so rem is 1 or prime.  A rem
+    left at the end is prime when below TRIAL_LIMIT**2 (two of its primes
+    would multiply past that).  A prime rem goes into {p: e}."""
     fac: dict[int, int] = {}
     rem = n
     for lo, hi, prod in _get_trial_chunks(d):
-        if rem == 1:
+        if _sieve_primes[lo] ** 2 > rem:
             break
         g = math.gcd(rem, prod)
         if g == 1:
@@ -200,6 +212,9 @@ def _trial_divide(n: int, d: int = 1) -> tuple[dict[int, int], int]:
                 g //= p
                 if g == 1:
                     break
+    if 1 < rem < TRIAL_LIMIT ** 2:
+        fac[rem] = 1
+        rem = 1
     return fac, rem
 
 
@@ -496,53 +511,66 @@ def factor(n: int, *, cache: "FactorCache | None" = None,
     return _finish_part(n, *_split_part(n, 1, cache), cache, budget)
 
 
-def _finish_part(n: int, fac: dict[int, int], rem: int,
-                 cache: "FactorCache | None", budget: int) -> FactoredInteger:
-    """The factorization of n from its split ({p: e}, cofactor) by
-    _split_part: a composite cofactor is taken apart by perfect powers and
-    Brent rho, and the result is cached."""
-    if rem == 1:
-        return factored(n, fac.items())
-    fac = dict(fac)
-    stack = [rem]
-    while stack:
-        c = stack.pop()
-        if _is_prime_cofactor(c):
-            fac[c] = fac.get(c, 0) + 1
-            continue
-        b, k = _perfect_power(c)
-        if k > 1:
-            stack.extend([b] * k)
-            continue
-        f = _brent_rho(c, budget)
-        stack.append(f)
-        stack.append(c // f)
+def _take_apart(c: int, budget: int) -> list[int]:
+    """Factors > 1 of a composite c multiplying to c: b, k times, for the
+    perfect power c = b**k, else the two of a Brent rho split."""
+    b, k = _perfect_power(c)
+    if k > 1:
+        return [b] * k
+    f = _brent_rho(c, budget)
+    return [f, c // f]
 
+
+def _cache_part(n: int, fac: dict[int, int], cache: "FactorCache | None"
+                ) -> FactoredInteger:
+    """The whole factorization {p: e} of n, cached."""
     result = factored(n, fac.items())
     if cache is not None:
         cache.put(n, result.factors)
     return result
 
 
+def _finish_part(n: int, fac: dict[int, int], rem: int,
+                 cache: "FactorCache | None", budget: int, *,
+                 composite: bool = False) -> FactoredInteger:
+    """The factorization of n from its split ({p: e}, cofactor) by
+    _split_part: a cofactor is proven prime or taken apart by perfect
+    powers and Brent rho (its first test is skipped when `composite`
+    says it failed already), and the result is cached."""
+    if rem == 1:
+        return factored(n, fac.items())
+    fac = dict(fac)
+    stack = _take_apart(rem, budget) if composite else [rem]
+    while stack:
+        c = stack.pop()
+        if _is_prime_cofactor(c):
+            fac[c] = fac.get(c, 0) + 1
+        else:
+            stack.extend(_take_apart(c, budget))
+    return _cache_part(n, fac, cache)
+
+
 def _split_part(n: int, d: int, cache: "FactorCache | None",
                 divide=None) -> tuple[dict[int, int], int]:
-    """Split n >= 1 (a value of Phi_d if d > 1) into {p: e} and a cofactor
-    that is 1 or composite, from the cache or by trial division by table d
-    (or `divide(n, d)`, a root sieve's split) and _is_prime_cofactor on
-    what is left.  A split with no composite cofactor is the whole
-    factorization, and it is cached."""
+    """Split n >= 1 (a value of Phi_d if d > 1) into {p: e} and a cofactor,
+    from the cache or by trial division by table d (or `divide(n, d)`, a
+    root sieve's split).  The cofactor is 1 or at least TRIAL_LIMIT**2,
+    and it is not tested: it may be prime, and whoever reads its primes
+    proves it (_finish_part, _exact_omega).  A cofactor below
+    TRIAL_LIMIT**2, which a root sieve's split can leave, is prime
+    untested (_is_prime_cofactor), so it goes into {p: e}; a split with
+    cofactor 1 is the whole factorization, and it is cached."""
     if n == 1:
         return {}, 1
     hit = cache.get(n) if cache is not None else None
     if hit is not None:
         return dict(hit), 1
     fac, rem = (_trial_divide if divide is None else divide)(n, d)
-    if rem > 1 and not _is_prime_cofactor(rem):
+    if rem >= TRIAL_LIMIT ** 2:
         return fac, rem
     if rem > 1:
         fac[rem] = 1
-    if cache is not None:
-        cache.put(n, factored(n, fac.items()).factors)
+    _cache_part(n, fac, cache)
     return fac, 1
 
 
@@ -572,12 +600,14 @@ def cyclotomic_value(d: int, q: int) -> int:
     return num // den
 
 
-def _split_parts(q: int, m: int, cache: "FactorCache | None", divide=None
+def _split_parts(q: int, ds: list[int], cache: "FactorCache | None",
+                 divide=None
                  ) -> Iterator[tuple[int, int, dict[int, int], int]]:
     """(Phi_d(q), d, {p: e}, cofactor) for each part of q**m - 1 =
-    prod_{d|m} Phi_d(q), d ascending, each split by _split_part when it is
-    reached, so cache reads and writes keep the order of the parts."""
-    for d in _divisors_of(m):
+    prod_{d|m} Phi_d(q), over ds = _divisors_of(m) (ascending), each split
+    by _split_part when it is reached, so cache reads and writes keep the
+    order of the parts."""
+    for d in ds:
         part = cyclotomic_value(d, q)
         yield (part, d, *_split_part(part, d, cache, divide))
 
@@ -591,7 +621,7 @@ def factor_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
     if m < 1:
         raise ValueError("m must be positive")
     fac: dict[int, int] = {}
-    for part, d, pf, rem in _split_parts(q, m, cache):
+    for part, d, pf, rem in _split_parts(q, _divisors_of(m), cache):
         for p, e in _finish_part(part, pf, rem, cache, budget).factors:
             fac[p] = fac.get(p, 0) + e
     return factored(q ** m - 1, fac.items())
@@ -599,17 +629,22 @@ def factor_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
 
 def _exact_omega(parts, cache: "FactorCache | None",
                  budget: int = DEFAULT_FACTOR_BUDGET) -> int:
-    """omega(q**m - 1) from the splits of its parts: a composite cofactor
-    counts 2 when _two_primes proves it, and any other is finished alone.
-    Counts add, since cofactor primes of different parts are distinct (see
-    omega_bounds_row)."""
+    """omega(q**m - 1) from the splits of its parts: a cofactor is tested
+    once, and a prime one counts 1 (and its part is cached); a composite
+    one counts 2 when _two_primes proves it, and any other part is
+    finished alone.  Counts add, since cofactor primes of different parts
+    are distinct (see omega_bounds_row)."""
     primes: set[int] = set()
     pairs = 0
     for part, d, fac, rem in parts:
-        if rem > 1 and _two_primes(rem, d):
+        if rem > 1 and _is_prime_cofactor(rem):
+            fac = {**fac, rem: 1}
+            _cache_part(part, fac, cache)
+        elif rem > 1 and _two_primes(rem, d):
             pairs += 1
         elif rem > 1:
-            fac = dict(_finish_part(part, fac, rem, cache, budget).factors)
+            fac = dict(_finish_part(part, fac, rem, cache, budget,
+                                    composite=True).factors)
         primes.update(fac)
     return len(primes) + 2 * pairs
 
@@ -631,14 +666,15 @@ def omega_bounds_row(qs: list[int], m: int, *,
     a primitive d-th root of unity (the same criterion), and the primes
     dividing d are tested directly, so it finds the same primes as table d,
     each exponent by repeated division.  A shorter row trial-divides each
-    part, cheaper there than finding the roots.  A cofactor
-    that is 1 or prime makes the part exact (and the part is cached); each
-    prime of a cofactor exceeds TRIAL_LIMIT, so one below TRIAL_LIMIT**2
-    is prime untested, and a composite cofactor c has at least 1 and at
-    most k distinct primes, k the largest with TRIAL_LIMIT**k < c.  exact
-    counts c as 2 when no prime up to cbrt(c) divides it and c is not a
-    square (the cube-root argument of _two_primes), and otherwise factors
-    that part alone by Pollard rho and caches it.
+    part, cheaper there than finding the roots.  Each prime of a cofactor
+    exceeds TRIAL_LIMIT, so one below TRIAL_LIMIT**2 is prime untested and
+    makes the part exact (and the part is cached).  A larger cofactor c is
+    not tested here, prime or not: it has at least 1 and at most k
+    distinct primes, k the largest with TRIAL_LIMIT**k < c, and the
+    bracket counts it so.  exact proves c prime first (and caches the
+    part), counts a composite c as 2 when no prime up to cbrt(c) divides
+    it and c is not a square (the cube-root argument of _two_primes), and
+    otherwise factors that part alone by Pollard rho and caches it.
 
     Primes are unioned across parts and cofactor counts add.  This is
     sound because a prime dividing Phi_d(q) and Phi_e(q) for d != e must
@@ -649,9 +685,10 @@ def omega_bounds_row(qs: list[int], m: int, *,
     if not 1 <= m < TRIAL_LIMIT:
         raise ValueError("omega bounds need 1 <= m < TRIAL_LIMIT")
     sieve = _RowSieve(qs) if len(qs) >= _ROW_SIEVE_MIN else None
+    ds = _divisors_of(m)
     for i, q in enumerate(qs):
         divide = None if sieve is None else functools.partial(sieve.split, i)
-        parts = list(_split_parts(q, m, cache, divide))
+        parts = list(_split_parts(q, ds, cache, divide))
         primes: set[int] = set()
         lo = hi = 0  # distinct primes inside the composite cofactors
         for _, _, fac, rem in parts:

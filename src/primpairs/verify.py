@@ -553,12 +553,14 @@ def scan_exceptions(n: int = 2, *, cache: FactorCache | None = None,
     lo <= omega(q**m - 1) <= hi of omega_bounds_row, walked one row of m
     at a time, decides most pairs: margin > 0 at 2**hi means the
     condition holds, margin < 0 at 2**lo means it fails without equality.
-    Only for a pair whose bracket straddles margin 0 is omega found
-    exactly, right after its bracket, so cache reads and writes keep their
-    order: the row's exact(budget) reads the split the bracket came from,
-    counts a composite cofactor with no prime up to its cube root as two
-    primes, and factors a part by Pollard rho only when it cannot.
-    Equality is read only from an exact W."""
+    The bracket proves no cofactor prime.  Only for a pair whose bracket
+    straddles margin 0 is omega found exactly, right after its bracket, so
+    cache reads and writes keep their order: the row's exact(budget) reads
+    the split the bracket came from, proves each cofactor of at least
+    TRIAL_LIMIT**2 prime or composite, counts a composite one with no
+    prime up to its cube root as two primes, and factors a part by
+    Pollard rho only when it cannot.  Equality is read only from an exact
+    W."""
     out = []
     for m, qmax in sorted(threshold_cascade(n).items()):
         qs = prime_powers_upto(qmax)

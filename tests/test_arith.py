@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -149,9 +150,9 @@ def test_is_probable_prime_below_2_64_matches_sympy():
 
 
 def test_cofactors_below_trial_limit_squared_are_prime():
-    # parts whose trial-division cofactor lies in (TRIAL_LIMIT,
-    # TRIAL_LIMIT**2), taken prime untested, or just above, prime or a
-    # product of two primes above TRIAL_LIMIT that rho splits
+    # parts whose cofactor above the primes below TRIAL_LIMIT lies in
+    # (TRIAL_LIMIT, TRIAL_LIMIT**2), taken prime untested, or just above,
+    # prime or a product of two primes above TRIAL_LIMIT that rho splits
     from sympy import factorint
     limit = arith.TRIAL_LIMIT
     rng = random.Random(12)
@@ -160,7 +161,8 @@ def test_cofactors_below_trial_limit_squared_are_prime():
     while min(map(len, cases.values())) < 6:
         q, m = rng.choice(qs), rng.randrange(5, 11)
         for d in arith._divisors_of(m):
-            _, rem = arith._trial_divide(arith.cyclotomic_value(d, q), d)
+            fac, rem = arith._trial_divide(arith.cyclotomic_value(d, q), d)
+            rem *= math.prod(p ** e for p, e in fac.items() if p > limit)
             if limit < rem < limit ** 2:
                 kind = "below"
             elif limit ** 2 <= rem < 10 * limit ** 2:
@@ -375,6 +377,83 @@ def test_exact_omega_finishes_the_held_split(tmp_path, monkeypatch):
     assert c.get(part) == tuple(sorted(factorint(part).items()))
 
 
+def test_exact_omega_proves_a_prime_cofactor_once(tmp_path, monkeypatch):
+    # Phi_7(149) leaves a prime cofactor above TRIAL_LIMIT**2: the bracket
+    # reads it untested, and exact() proves it prime before _two_primes
+    # sees it, counts it as one prime and caches the part
+    from sympy import factorint, isprime
+
+    part = arith.cyclotomic_value(7, 149)
+    _, rem = arith._split_part(part, 7, None)
+    assert rem >= arith.TRIAL_LIMIT ** 2 and isprime(rem)
+    tested, prime = [], arith.is_probable_prime
+
+    def tracked(n, rounds=24):
+        tested.append(n)
+        return prime(n, rounds)
+
+    def two_primes(c, d):
+        raise AssertionError("a prime cofactor reached _two_primes")
+
+    monkeypatch.setattr(arith, "is_probable_prime", tracked)
+    monkeypatch.setattr(arith, "_two_primes", two_primes)
+    c = FactorCache(tmp_path / "cache.json")
+    lo, hi, exact = next(omega_bounds_row([149], 7, cache=c))
+    assert tested == []
+    om = len(factorint(149 ** 7 - 1))
+    assert lo <= om <= hi and lo < hi
+    assert exact() == om and tested == [rem]
+    assert c.get(part) == tuple(sorted(factorint(part).items()))
+
+
+_PRIMES = primes_upto(arith.TRIAL_LIMIT)
+#: where each chunk of table 1 but the first starts in _PRIMES
+_CHUNK_LOS = [lo for lo, _, _ in arith._get_trial_chunks(1)[1:]]
+_PHI_D_QS = {d: arith.prime_powers_upto(
+    min(20000, 2 ** (64 // euler_phi(factor(d))))) for d in range(1, 25)}
+
+
+def _assert_split_matches_sympy(n, d):
+    """_split_part(n, d, None) recomposes to n, with sympy's primes below
+    TRIAL_LIMIT and a cofactor of the rest: 1, or at least TRIAL_LIMIT**2."""
+    from sympy import factorint
+
+    fac, rem = arith._split_part(n, d, None)
+    assert math.prod(p ** e for p, e in fac.items()) * rem == n
+    want = factorint(n)
+    if rem > 1:
+        assert rem >= arith.TRIAL_LIMIT ** 2
+        want = {p: e for p, e in want.items() if p < arith.TRIAL_LIMIT}
+    assert fac == want, (n, d)
+
+
+@given(st.integers(min_value=1, max_value=24).flatmap(
+    lambda d: st.tuples(st.just(d), st.sampled_from(_PHI_D_QS[d]))))
+def test_square_root_stop_splits_cyclotomic_values(dq):
+    d, q = dq
+    _assert_split_matches_sympy(arith.cyclotomic_value(d, q), d)
+
+
+# the square of a chunk's first prime, stopped at that chunk, would be
+# taken for a prime; so would a product of two primes of one chunk,
+# stopped by the chunk's last prime
+@example(_PRIMES[_CHUNK_LOS[0]] ** 2)
+@example(_PRIMES[_CHUNK_LOS[0]] * _PRIMES[_CHUNK_LOS[0] + 1])
+@example(_PRIMES[_CHUNK_LOS[-1]] ** 2)
+@example(_PRIMES[_CHUNK_LOS[0] - 1] ** 2)
+@example(_PRIMES[-1])
+@example(1)
+@given(st.one_of(
+    st.integers(min_value=1, max_value=10 ** 18),
+    st.sampled_from(_PRIMES),
+    st.builds(lambda i, j, k: _PRIMES[i] * _PRIMES[i + j] * k,
+              st.sampled_from([lo + s for lo in _CHUNK_LOS for s in (-1, 0, 1)]),
+              st.integers(min_value=0, max_value=3),
+              st.integers(min_value=1, max_value=50))))
+def test_square_root_stop_splits_plain_integers(n):
+    _assert_split_matches_sympy(n, 1)
+
+
 def test_cyclotomic_values():
     assert arith.cyclotomic_value(1, 10) == 9
     assert arith.cyclotomic_value(2, 10) == 11
@@ -419,7 +498,9 @@ def test_root_sieve_splits_like_trial_division(d, qs):
     sieve = arith._RowSieve(qs)
     for i, q in enumerate(qs):
         part = arith.cyclotomic_value(d, q)
-        assert sieve.split(i, part, d) == arith._trial_divide(part, d), q
+        divide = functools.partial(sieve.split, i)
+        assert arith._split_part(part, d, None, divide) == arith._split_part(
+            part, d, None), q
 
 
 @pytest.mark.parametrize("m", [7, 12])

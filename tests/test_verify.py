@@ -708,7 +708,7 @@ def _track_exact(monkeypatch):
 def test_scan_factors_only_straddling_pairs(monkeypatch):
     """scan_exceptions decides the main condition from the trial-division
     bracket on omega; omega is found exactly only for the pairs whose
-    bracket straddles margin 0, 47 of the 3,016 for n = 2, all with
+    bracket straddles margin 0, 139 of the 3,016 for n = 2, all with
     m = 7.  Pollard rho runs on one cofactor alone, that of Phi_7(3061),
     which has a prime below its cube root; the other cofactors are proven
     products of two primes."""
@@ -724,7 +724,7 @@ def test_scan_factors_only_straddling_pairs(monkeypatch):
     monkeypatch.setattr(arith, "_brent_rho", tracked_rho)
     records = V.scan_exceptions(2)
     assert len(records) == 495
-    assert len(sent) == 47 and {m for _, m, *_ in sent} == {7}
+    assert len(sent) == 139 and {m for _, m, *_ in sent} == {7}
     assert split == [arith._trial_divide(arith.cyclotomic_value(7, 3061), 7)[1]]
     for q, m, lo, hi, om in sent:
         assert main_margin(q, m, 2, 1 << hi) <= 0 <= main_margin(q, m, 2, 1 << lo)
@@ -735,9 +735,11 @@ def test_scan_records_and_saved_cache_are_pinned(tmp_path, monkeypatch):
     """scan_exceptions(2) into a fresh cache: the records' repr and the
     saved cache file, byte for byte (entries and their order), hashed.
     The records' digest was taken with every part trial-divided.  A part
-    whose cofactor is proven a product of two primes is not factored, so
-    it is not saved; once the straddling pairs are factored the cache
-    holds, up to order, what it held when the scan factored them."""
+    is saved only when its split is whole or an exact count proves its
+    cofactor prime or finishes it, so a part of a pair the bracket decides
+    whose cofactor is at least TRIAL_LIMIT**2 is not saved, nor one whose
+    cofactor is proven a product of two primes; factoring the straddling
+    pairs then adds the parts left of them."""
     sent = _track_exact(monkeypatch)
     cache = FactorCache(tmp_path / "factors.json")
     records = V.scan_exceptions(2, cache=cache)
@@ -746,15 +748,15 @@ def test_scan_records_and_saved_cache_are_pinned(tmp_path, monkeypatch):
     assert digest == ("200e87ad68bcf36f56095ba2befe67f7"
                       "512e7e1c5f660a89eea0bd6a852f9b23")
     digest = hashlib.sha256(cache.path.read_bytes()).hexdigest()
-    assert digest == ("93707c4b96859e2d4b2367b39efa0f29"
-                      "d2c5fca4e6196f21b107e23e6b9433b2")
+    assert digest == ("f29c65289c7db96264d92183b5e67daa"
+                      "1bc956dafa118aa8461e7ec308fc10a2")
     for q, m, *_ in sent:
         factor_qm_minus_1(q, m, cache=cache)
     cache.save()
     content = json.dumps(json.loads(cache.path.read_text()), sort_keys=True)
     digest = hashlib.sha256(content.encode()).hexdigest()
-    assert digest == ("5ffbbc7bcae6d2aa6420215b4c87ff63"
-                      "f5ee4b8f936f28132dd2920660c2a489")
+    assert digest == ("990308e21c61bc1800bf945d87379069"
+                      "2f3ca57a5741d8ac2aa65be6993f5951")
 
 
 def test_scan_long_row_is_root_sieved(tmp_path, monkeypatch):
@@ -790,6 +792,31 @@ def test_scan_long_row_is_root_sieved(tmp_path, monkeypatch):
     sent = _track_exact(monkeypatch)
     cache = FactorCache(tmp_path / "factors.json")
     assert len(V.scan_exceptions(2, cache=cache)) == 495
-    assert len(sent) == 47
+    assert len(sent) == 139
     assert 7 not in calls
     assert 8 in calls
+
+
+def test_scan_proves_cofactors_prime_only_in_exact_counts(monkeypatch):
+    """The bracket proves no cofactor prime: scan_exceptions(2) tests
+    values of at least 10**12 for primality 140 times, all in the exact
+    counts of its 139 straddling pairs (one of them a factor rho split off
+    the cofactor of (3061, 7)), and _two_primes only ever sees a composite
+    cofactor."""
+    from sympy import isprime
+
+    prime, two_primes, big = arith.is_probable_prime, arith._two_primes, []
+
+    def tracked(n, rounds=24):
+        if n >= 10 ** 12:
+            big.append(n)
+        return prime(n, rounds)
+
+    def composite_only(c, d):
+        assert not isprime(c), c
+        return two_primes(c, d)
+
+    monkeypatch.setattr(arith, "is_probable_prime", tracked)
+    monkeypatch.setattr(arith, "_two_primes", composite_only)
+    assert len(V.scan_exceptions(2)) == 495
+    assert len(big) == 140
