@@ -427,6 +427,9 @@ def _assert_split_matches_sympy(n, d):
     assert fac == want, (n, d)
 
 
+# the first draw of each d builds its trial table, which can take most
+# of a second; the deadline would read that cached build as flakiness
+@settings(deadline=None)
 @given(st.integers(min_value=1, max_value=24).flatmap(
     lambda d: st.tuples(st.just(d), st.sampled_from(_PHI_D_QS[d]))))
 def test_square_root_stop_splits_cyclotomic_values(dq):
@@ -443,6 +446,7 @@ def test_square_root_stop_splits_cyclotomic_values(dq):
 @example(_PRIMES[_CHUNK_LOS[0] - 1] ** 2)
 @example(_PRIMES[-1])
 @example(1)
+@settings(deadline=None)
 @given(st.one_of(
     st.integers(min_value=1, max_value=10 ** 18),
     st.sampled_from(_PRIMES),
