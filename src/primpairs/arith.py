@@ -108,7 +108,9 @@ def nth_primes(k: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # primality
 
-_MR_WITNESSES_12 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: the first 24 primes: the trial divisors and Miller-Rabin bases
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                 59, 61, 67, 71, 73, 79, 83, 89)
 #: psi_k, the least strong pseudoprime to the first k prime bases, for
 #: k = 1..12 (Jaeschke 1993; Sorenson and Webster, Math. Comp. 86 (2017);
 #: OEIS A014233): below psi_k the first k bases decide primality.
@@ -116,21 +118,20 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
         341550071728321, 341550071728321, 3825123056546413051,
         3825123056546413051, 3825123056546413051, 318665857834031151167461)
 _PSI_12 = _PSI[-1]
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-def is_probable_prime(n: int, rounds: int = 24) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin.  A table lookup up to the sieved limit; deterministic
     below psi_12 = 318665857834031151167461 with the first k prime
     witnesses, k the least with n < psi_k (proven there); from psi_12 on,
-    the first `rounds` primes serve as witnesses, which keeps results
+    the first 24 primes serve as witnesses, which keeps results
     reproducible."""
     if n < 2:
         return False
     if n <= _sieve_limit:
         i = bisect_right(_sieve_primes, n)
         return i > 0 and _sieve_primes[i - 1] == n
-    for p in _SMALL_PRIMES:
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -139,8 +140,7 @@ def is_probable_prime(n: int, rounds: int = 24) -> bool:
         d //= 2
         s += 1
     k = bisect_right(_PSI, n)
-    witnesses = _MR_WITNESSES_12[: k + 1] if k < 12 else nth_primes(rounds)
-    for a in witnesses:
+    for a in _MR_WITNESSES[: k + 1] if k < 12 else _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

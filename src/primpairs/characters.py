@@ -176,12 +176,10 @@ class ChiPrecompute:
 
 
 def chi_fab(f: RationalFunction, a, b, chi1: MultChar, chi2: MultChar,
-            pre: ChiPrecompute | None = None) -> complex:
+            pre: ChiPrecompute) -> complex:
     """sum over u, v in F_q of psi0(-au - bv) * sum over alpha outside S of
     chi1(alpha) chi2(f(alpha)) psihat(u alpha + v alpha^{-1})."""
     ctx = f.ctx
-    if pre is None:
-        pre = ChiPrecompute(f)
     sub = ctx.subfield
     a, b = sub.check_code(a), sub.check_code(b)
     ac = canonical_add_char(ctx)
@@ -205,13 +203,11 @@ def chi_fab_bound(f: RationalFunction) -> float:
 
 
 def count_via_characters(f: RationalFunction, a, b, l1: int, l2: int,
-                         pre: ChiPrecompute | None = None) -> float:
+                         pre: ChiPrecompute) -> float:
     """Exact count N_{f,a,b}(l1, l2) evaluated through the character
     identity; returns a real number within tolerance of the true integer."""
     ctx = f.ctx
     fl1, fl2 = factor(ctx.check_divisor(l1)), factor(ctx.check_divisor(l2))
-    if pre is None:
-        pre = ChiPrecompute(f)
     total = 0j
     for d1 in squarefree_divisors(fl1):
         c1 = Fraction(moebius(d1), euler_phi(d1))

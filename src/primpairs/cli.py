@@ -39,6 +39,7 @@ from .ff import build_ctx
 from .refdata import bound_window, load_certificate_rows
 from .verify import (
     DEFAULT_ALPHA_BUDGET,
+    DEFAULT_SAMPLE,
     EnumerationBudgetExceeded,
     check_crosscheck,
     crosscheck_identity,
@@ -96,10 +97,11 @@ def cmd_sieve(args) -> list:
 
 
 def _parse_m_range(text: str) -> range:
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(text), int(text) + 1)
+    lo, dash, hi = text.partition("-")
+    wanted = range(int(lo), int(hi if dash else lo) + 1)
+    if not wanted:
+        raise ValueError(f"m range {text} is empty")
+    return wanted
 
 
 def cmd_appendix2(args) -> list:
@@ -211,7 +213,7 @@ def build_parser() -> _Parser:
         s.add_argument("m", type=int)
         s.add_argument("n", type=int)
         if name == "verify":
-            s.add_argument("--sample", type=int, default=1000)
+            s.add_argument("--sample", type=int, default=DEFAULT_SAMPLE)
             s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         s.set_defaults(func=func)
 

@@ -56,7 +56,8 @@ from .ff import (
     find_irreducibles,
 )
 
-DEFAULT_ALPHA_BUDGET = 1 << 20  # exhaustive alpha-loops up to this field size
+#: resolve_pair counts, exhaustively or by sampling, up to this field size
+DEFAULT_ALPHA_BUDGET = 1 << 20
 DEFAULT_F_BUDGET = 10 ** 7  # exhaustive f-loops up to this many representatives
 DEFAULT_SAMPLE = 1000
 _BLOCK_ALPHAS = 1 << 15  # alpha-entries a block of representatives spans
@@ -335,13 +336,9 @@ class CountTable:
         return min(min(row) for row in self.counts)
 
 
-def count_table(f: RationalFunction, l1: int, l2: int, *,
-                budget: int = DEFAULT_ALPHA_BUDGET) -> CountTable:
+def count_table(f: RationalFunction, l1: int, l2: int) -> CountTable:
     """All q^2 brute-force counts of f in one pass."""
     ctx = f.ctx
-    if ctx.N > budget:
-        raise EnumerationBudgetExceeded(
-            f"field size {ctx.N} exceeds alpha budget {budget}")
     ctx.check_divisor(l1)
     ctx.check_divisor(l2)
     grid = _GridCounter(ctx, l1).grids([f.num], [f.den], l2)[0]
@@ -349,13 +346,12 @@ def count_table(f: RationalFunction, l1: int, l2: int, *,
     return CountTable(f, l1, l2, counts)
 
 
-def brute_force_count(f: RationalFunction, a, b, l1: int, l2: int, *,
-                      budget: int = DEFAULT_ALPHA_BUDGET) -> int:
+def brute_force_count(f: RationalFunction, a, b, l1: int, l2: int) -> int:
     """#{alpha outside S : alpha l1-free, f(alpha) l2-free, Tr(alpha) = a,
     Tr(alpha^-1) = b}, by direct enumeration."""
     if not (0 <= a < f.ctx.q and 0 <= b < f.ctx.q):
         raise ValueError("a and b must be F_q codes")
-    return count_table(f, l1, l2, budget=budget).cell(a, b)
+    return count_table(f, l1, l2).cell(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +390,14 @@ class PairVerdict:
 
 def resolve_pair(q: int, m: int, n: int, *,
                  alpha_budget: int = DEFAULT_ALPHA_BUDGET,
-                 f_budget: int = DEFAULT_F_BUDGET,
                  sample_count: int = DEFAULT_SAMPLE,
                  seed: int = 0,
                  cache: FactorCache | None = None,
                  factor_budget: int = DEFAULT_FACTOR_BUDGET) -> PairVerdict:
-    """Cheapest-first membership pipeline for (q, m) in Q_n."""
+    """Cheapest-first membership pipeline for (q, m) in Q_n: the main
+    condition, a sieve certificate, then a count over F_{q^m}, undecided
+    past alpha_budget or DLOG_LIMIT (2^22) field elements and sampled,
+    sample_count per split, past DEFAULT_F_BUDGET (10^7) representatives."""
     if sample_count < 1:
         raise ValueError("sample count must be positive")
     p, k = prime_power(q)
@@ -425,10 +423,10 @@ def resolve_pair(q: int, m: int, n: int, *,
     ctx = build_ctx(p, k, m, cache=cache, factor_budget=factor_budget)
     counter = _GridCounter(ctx, ctx.order)
     exhaustive = sum(count_R(n1, n2, ctx)
-                     for n1, n2 in splits_of(n)) <= f_budget
-    if not exhaustive and sample_count > f_budget:
+                     for n1, n2 in splits_of(n)) <= DEFAULT_F_BUDGET
+    if not exhaustive and sample_count > DEFAULT_F_BUDGET:
         raise EnumerationBudgetExceeded(
-            f"sample count {sample_count} exceeds f budget {f_budget}")
+            f"sample count {sample_count} exceeds f budget {DEFAULT_F_BUDGET}")
     block = max(1, _BLOCK_ALPHAS // len(counter.codes))
     checked = 0
     for n1, n2 in splits_of(n):
@@ -522,7 +520,7 @@ def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int, *,
         a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
         l1, l2 = rng.choice(divisors), rng.choice(divisors)
         approx = count_via_characters(f, a, b, l1, l2, pre=pres[f])
-        exact = brute_force_count(f, a, b, l1, l2, budget=budget)
+        exact = brute_force_count(f, a, b, l1, l2)
         dev = abs(approx - exact)
         max_dev = max(max_dev, dev)
         if round(approx) != exact:

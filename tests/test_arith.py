@@ -78,7 +78,8 @@ PSI_12 = 399165290221 * 798330580441  # psi_12, Sorenson and Webster 2017
 def test_twelve_bases_decide_primality_only_below_psi12():
     # psi_12 passes the 12-base test, so that test is proven only below it
     assert PSI_12 == arith._PSI_12 == 318665857834031151167461
-    assert is_probable_prime(PSI_12, rounds=12)  # the first 12 primes
+    from sympy.ntheory.primetest import mr
+    assert mr(PSI_12, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
     assert not is_probable_prime(PSI_12)
     assert is_probable_prime(PSI_12 - 1) is False  # even
 
@@ -388,9 +389,9 @@ def test_exact_omega_proves_a_prime_cofactor_once(tmp_path, monkeypatch):
     assert rem >= arith.TRIAL_LIMIT ** 2 and isprime(rem)
     tested, prime = [], arith.is_probable_prime
 
-    def tracked(n, rounds=24):
+    def tracked(n):
         tested.append(n)
-        return prime(n, rounds)
+        return prime(n)
 
     def two_primes(c, d):
         raise AssertionError("a prime cofactor reached _two_primes")

@@ -268,18 +268,20 @@ def test_chi_fab_matches_direct_f4(ctx_f4):
                     got = chi_fab(f, a, b, chi1, chi2, pre=pre)
                     want = chi_fab_direct(f, a, b, chi1, chi2)
                     assert abs(got - want) < 1e-9
-                    # fresh precompute path agrees too
-                    assert abs(chi_fab(f, a, b, chi1, chi2) - got) < 1e-12
+                    # a second, fresh precompute agrees too
+                    fresh = chi_fab(f, a, b, chi1, chi2, pre=ChiPrecompute(f))
+                    assert abs(fresh - got) < 1e-12
 
 
 def test_chi_fab_matches_direct_with_pole(ctx_f9):
     f = RationalFunction(ctx_f9, (0, 1), (1, 1))  # x / (x + 1)
     assert len(f.excluded_codes()) == 2
     chis = all_chars_of_order(8, ctx_f9) + all_chars_of_order(1, ctx_f9)
+    pre = ChiPrecompute(f)
     for chi1, chi2 in [(chis[0], chis[1]), (chis[-1], chis[0]),
                        (chis[2], chis[2])]:
         for a, b in [(0, 0), (1, 2), (2, 2)]:
-            got = chi_fab(f, a, b, chi1, chi2)
+            got = chi_fab(f, a, b, chi1, chi2, pre=pre)
             want = chi_fab_direct(f, a, b, chi1, chi2)
             assert abs(got - want) < 1e-9
 
@@ -339,7 +341,7 @@ def test_count_trace_only_partition(ctx_f9):
 
 def test_count_matches_direct_f3_4(ctx_f3_4):
     f = RationalFunction(ctx_f3_4, (0, 2), (1, 1))  # 2x / (x + 1)
-    got = count_via_characters(f, 1, 0, 80, 80)
+    got = count_via_characters(f, 1, 0, 80, 80, pre=ChiPrecompute(f))
     want = count_direct(f, 1, 0, 80, 80)
     assert round(got) == want
     assert abs(got - want) < 0.5
@@ -348,7 +350,7 @@ def test_count_matches_direct_f3_4(ctx_f3_4):
 def test_count_rejects_bad_l(ctx_f9):
     f = RationalFunction(ctx_f9, (0, 1), (1,))
     with pytest.raises(ValueError):
-        count_via_characters(f, 0, 0, 3, 8)
+        count_via_characters(f, 0, 0, 3, 8, pre=ChiPrecompute(f))
 
 
 def test_tolerance_scales():

@@ -99,6 +99,12 @@ def test_appendix2_warns_only_on_misprint(capsys):
                    "vs listed 24.4344152110\n")
 
 
+def test_appendix2_refuses_an_empty_range(capsys):
+    # lo > hi selects no m: refused, not an empty success
+    code, out, err = run(capsys, "appendix2", "9-7")
+    assert (code, out, err) == (3, "", "invalid input: m range 9-7 is empty\n")
+
+
 def test_appendix2_range(capsys):
     code, out, _ = run(capsys, "appendix2", "28-36")
     lines = out.strip().split("\n")
@@ -162,6 +168,18 @@ def test_verify_beyond_dlog_table_limit_is_undecided(capsys):
     verdict = json.loads(out)["verdict"]
     assert verdict["status"] == "undecided"
     assert "dlog table limit" in verdict["coverage"]
+
+
+def test_verify_between_the_two_field_limits_is_undecided(capsys):
+    # 8^7 = 2^21 is inside the dlog table limit (2^22) but past the
+    # default --budget-enum (2^20)
+    code, out, err = run(capsys, "verify", "8", "7", "2")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"manifest": {"enum_budget": 1048576, "factor_budget": 50000000, '
+        '"sample": 1000, "seed": 0}, "verdict": {"coverage": "field size '
+        '8^7 beyond alpha budget 1048576", "m": 7, "n": 2, "q": 8, '
+        '"status": "undecided"}}\n')
 
 
 def test_crosscheck_beyond_dlog_table_limit_is_budget_exit(capsys):

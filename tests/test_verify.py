@@ -16,7 +16,7 @@ from primpairs.arith import (
     factor_qm_minus_1,
 )
 from primpairs.bounds import main_margin
-from primpairs.characters import count_via_characters
+from primpairs.characters import ChiPrecompute, count_via_characters
 from primpairs.ff import (
     RationalFunction,
     build_ctx,
@@ -309,8 +309,6 @@ def test_count_rejects(F9):
         brute_force_count(f, 0, 0, 3, 8)  # 3 does not divide 8
     with pytest.raises(ValueError):
         brute_force_count(f, 0, 3, 8, 8)  # b outside F_q
-    with pytest.raises(EnumerationBudgetExceeded):
-        brute_force_count(f, 0, 0, 8, 8, budget=4)
 
 
 def test_l_monotonicity(F64):
@@ -600,8 +598,9 @@ def test_resolve_refuses_a_sample_count_above_the_f_budget(monkeypatch):
     monkeypatch.setattr(V, "_draw_rows", unexpected)
     with pytest.raises(EnumerationBudgetExceeded, match="sample count"):
         resolve_pair(2, 8, 2, sample_count=10 ** 9)
+    monkeypatch.setattr(V, "DEFAULT_F_BUDGET", 100)
     with pytest.raises(EnumerationBudgetExceeded):
-        resolve_pair(2, 8, 2, sample_count=101, f_budget=100)
+        resolve_pair(2, 8, 2, sample_count=101)
 
 
 SAMPLED_PAIRS = ((2, 8), (2, 9), (3, 7), (2, 10), (2, 11), (2, 12))
@@ -632,6 +631,14 @@ def test_resolve_undecided_beyond_alpha_budget():
     x = resolve_pair(64, 4, 2, alpha_budget=1 << 25)
     assert x.status == "undecided"
     assert "dlog table limit" in x.coverage
+
+    # the n = 2 pairs with 2^20 < q^m <= 2^22: a dlog table would fit, but
+    # the default alpha budget stops them first
+    for q, m in ((8, 7), (5, 9)):
+        assert V.DEFAULT_ALPHA_BUDGET < q ** m <= V.DLOG_LIMIT
+        assert resolve_pair(q, m, 2).serialize() == {
+            "q": q, "m": m, "n": 2, "status": "undecided",
+            "coverage": f"field size {q}^{m} beyond alpha budget 1048576"}
 
 
 def test_verdict_serialize_shape():
@@ -675,16 +682,18 @@ def test_trace_only_crosscheck_is_near_exact(F81):
     # with l1 = l2 = 1 no multiplicative characters remain and the identity
     # is numerically tight
     for f in functions(F81, enumerate_R(1, 1, F81, count=3, seed=8)):
+        pre = ChiPrecompute(f)
         for a, b in ((0, 0), (1, 2), (2, 1)):
-            approx = count_via_characters(f, a, b, 1, 1)
+            approx = count_via_characters(f, a, b, 1, 1, pre=pre)
             exact = brute_force_count(f, a, b, 1, 1)
             assert abs(approx - exact) < 1e-9
 
 
 def test_brute_force_agrees_with_characters_on_F81(F81):
     for f in functions(F81, enumerate_R(1, 1, F81, count=3, seed=2)):
+        pre = ChiPrecompute(f)
         for a, b in ((0, 0), (2, 1)):
-            approx = count_via_characters(f, a, b, 80, 80)
+            approx = count_via_characters(f, a, b, 80, 80, pre=pre)
             exact = brute_force_count(f, a, b, 80, 80)
             assert round(approx) == exact
 
@@ -807,10 +816,10 @@ def test_scan_proves_cofactors_prime_only_in_exact_counts(monkeypatch):
 
     prime, two_primes, big = arith.is_probable_prime, arith._two_primes, []
 
-    def tracked(n, rounds=24):
+    def tracked(n):
         if n >= 10 ** 12:
             big.append(n)
-        return prime(n, rounds)
+        return prime(n)
 
     def composite_only(c, d):
         assert not isprime(c), c
