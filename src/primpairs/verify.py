@@ -14,9 +14,19 @@ _GridCounter.grids, works on discrete logs (g^k is r-free exactly when r
 does not divide k), evaluates a block at every alpha in one 2-D Horner
 pass whose step is one Zech-logarithm lookup,
 log(g^u + g^v) = v + Z[u - v], with no field addition, and fills its
-q x q trace-pair grids with one bincount.  A scalar pass over alpha is the kernel's oracle.
+q x q trace-pair grids with one bincount.  A scalar pass over alpha is
+the kernel's oracle.
+
 resolve_pair chains the cheap certificates before falling back to
-enumeration, counted in slices of about _BLOCK_ALPHAS alpha-entries; and
+enumeration, and asks of each grid only whether it has a zero cell.  It
+screens each block of representatives on a head, the first
+_HEAD_PER_CELL * q^2 counted alpha (a block spans about _BLOCK_ALPHAS
+head entries), and counts the rest of alpha only for the rows with a
+zero cell in the head.  The screen is exact: a count over some of the
+alpha is at most the count over all of them, so a row positive in every
+cell of its head grid is positive in every cell of its full grid, and a
+row counted in full keeps its own zero cells.  So the witness, its cell
+and the number of representatives checked are those of the full count.
 scan_exceptions regenerates the full list of pairs the main condition
 cannot settle.
 """
@@ -61,6 +71,7 @@ DEFAULT_ALPHA_BUDGET = 1 << 20
 DEFAULT_F_BUDGET = 10 ** 7  # exhaustive f-loops up to this many representatives
 DEFAULT_SAMPLE = 1000
 _BLOCK_ALPHAS = 1 << 15  # alpha-entries a block of representatives spans
+_HEAD_PER_CELL = 16  # head alpha per trace cell a block is screened on
 
 CERTIFIED_MAIN = "certified_main"
 CERTIFIED_SIEVE = "certified_sieve"
@@ -80,23 +91,24 @@ def splits_of(n: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # enumeration of R_{n1,n2}
 
-def _irreducible_count(ctx: FieldCtx, d: int) -> int:
-    """Monic irreducibles of degree d by the Gauss count
+def _irreducible_count(N: int, d: int) -> int:
+    """Monic irreducibles of degree d over F_N by the Gauss count
     (1/d) sum_{e|d} mu(e) N^(d/e); degree 0 has the one polynomial 1."""
     if d == 0:
         return 1
-    return sum(moebius(factor(e)) * ctx.N ** (d // e)
+    return sum(moebius(factor(e)) * N ** (d // e)
                for e in range(1, d + 1) if d % e == 0) // d
 
 
-def count_R(n1: int, n2: int, ctx: FieldCtx) -> int:
-    """Number of distinct representatives c * p/q of R_{n1,n2}."""
+def count_R(n1: int, n2: int, N: int) -> int:
+    """Number of distinct representatives c * p/q of R_{n1,n2} over the
+    field of N elements: it depends on the field only through N."""
     if n1 == 0 and n2 == 0:
         raise ValueError("degenerate split (0, 0)")
-    c1, c2 = _irreducible_count(ctx, n1), _irreducible_count(ctx, n2)
+    c1, c2 = _irreducible_count(N, n1), _irreducible_count(N, n2)
     if n1 == n2:
         c2 -= 1  # numerator and denominator must differ
-    return (ctx.N - 1) * c1 * c2
+    return (N - 1) * c1 * c2
 
 
 def _monic_irreducibles(degree: int, ctx: FieldCtx) -> np.ndarray:
@@ -178,7 +190,7 @@ def _draw_rows(n1: int, n2: int, ctx: FieldCtx, rng: random.Random,
     """`count` rows (c, p, q) of coefficients drawn from rng, p and q monic
     and lowest degree first: every c as 1 + _uniform(N - 1), then every p,
     then every q (again where q = p on the middle split)."""
-    if n1 == n2 and count_R(n1, n2, ctx) == 0:
+    if n1 == n2 and count_R(n1, n2, ctx.N) == 0:
         raise ValueError(f"R_{n1},{n2} has no representatives to draw")
     c = 1 + _uniform(rng, ctx.order, count)
     p = _monic_rows(n1, ctx, rng, count)
@@ -210,7 +222,8 @@ class _GridCounter:
 
     It keeps the L l1-free codes alpha, their discrete logs and the
     trace-pair cell (Tr(alpha), Tr(alpha^-1)) of each.  grids counts a block
-    of B representatives of one split in one pass over a B x L array:
+    of B representatives of one split in one pass over a B x L array (B x
+    width over a range of the alpha):
     Horner's rule evaluates every numerator and denominator at every alpha
     on discrete logs, f(alpha) is l2-free when log num - log den (mod n,
     n = N-1) is, and one bincount of row * q^2 + cell fills all B grids.
@@ -232,6 +245,14 @@ class _GridCounter:
     without 0: an irreducible part of degree >= 2 has no root in F, so for
     a valid f numerator and denominator never vanish together.  W (9n-2
     int32) and one l2 table (4n-1 bools) take 40 bytes per field element.
+
+    Counts over a range of the alpha are lower bounds on the full counts,
+    and counts over disjoint ranges add up to them.  screened_grids counts
+    a head range first and the rest only for the rows with a zero cell in
+    their head grid: those rows get their full grid, and every other row
+    is positive in each cell, as its full grid is.  So the screened and
+    the full grids have their zero cells in the same places, which is all
+    resolve_pair reads; count_table keeps the one full pass.
     """
 
     def __init__(self, ctx: FieldCtx, l1: int):
@@ -255,7 +276,7 @@ class _GridCounter:
         step[1:2 * n] = self._zero - self._zero_coef
         step[6 * n - 2:].reshape(3, n)[:] = np.arange(3 * n - 1, 4 * n - 1)
         self._l2_tables: dict[int, np.ndarray] = {}
-        self._rows = np.empty((0, len(self.codes)), dtype=np.int64)
+        self._rows: dict[tuple, np.ndarray] = {}
 
     def _l2_table(self, l2: int) -> np.ndarray:
         """l2-freeness of f(alpha) at log num - log den + 2n-1: entry i is
@@ -267,39 +288,61 @@ class _GridCounter:
             self._l2_tables[l2] = table = free
         return table
 
-    def _horner(self, coeffs: np.ndarray) -> tuple:
+    def _horner(self, coeffs: np.ndarray, span=slice(None)) -> tuple:
         """(w, c): the logs of the polynomials in the rows of coeffs (lowest
-        degree first) at every counted alpha are w + c, w a B x L block
-        (None for a constant) and c the column of constant-term logs."""
+        degree first) at the counted alpha codes[span] are w + c, w a B x
+        width block (None for a constant) and c the column of constant-term
+        logs."""
+        dlog_alpha = self._dlog_alpha[span]
         logs = np.where(coeffs == 0, self._zero_coef,
                         self.ctx.dlog[coeffs]).astype(np.int32)
         w, c = None, np.where(coeffs[:, -1:] == 0, self._zero, logs[:, -1:])
         for j in range(coeffs.shape[1] - 2, -1, -1):
-            s = self._dlog_alpha + (c - logs[:, j:j + 1])
+            s = dlog_alpha + (c - logs[:, j:j + 1])
             if w is not None:
                 s += w
             w, c = self._step.take(s, mode="clip"), logs[:, j:j + 1]
         return w, c
 
-    def grids(self, num, den, l2: int) -> np.ndarray:
+    def grids(self, num, den, l2: int, lo: int = 0,
+              hi: int | None = None) -> np.ndarray:
         """B x q x q counts indexed by the trace pair (a, b), one grid per
-        representative: row i of num and den holds the coefficients of its
+        representative, over the counted alpha codes[lo:hi] (all of them by
+        default): row i of num and den holds the coefficients of its
         numerator and denominator, lowest degree first."""
-        q, b = self.ctx.q, len(num)
-        wn, cn = self._horner(np.asarray(num))
-        wd, cd = self._horner(np.asarray(den))
+        q, b, span = self.ctx.q, len(num), slice(lo, hi)
+        wn, cn = self._horner(np.asarray(num), span)
+        wd, cd = self._horner(np.asarray(den), span)
         u = cn - cd + (2 * self.ctx.order - 1)
         if wn is not None:
             u = u + wn
         if wd is not None:
             u = u - wd
         free = self._l2_table(l2).take(u, mode="clip")
-        if len(self._rows) < b:  # bincount offsets of the largest block
-            self._rows = np.arange(b)[:, None] * q * q + self.cell
-        rows = self._rows[:b]
+        rows = self._rows.get((lo, hi))
+        if rows is None or len(rows) < b:  # offsets of the largest block
+            rows = np.arange(b)[:, None] * q * q + self.cell[span]
+            self._rows[lo, hi] = rows
+        rows = rows[:b]
         # compress: several times faster here than rows[free]
         return np.bincount(rows.compress(free.ravel()),
                            minlength=b * q * q).reshape(b, q, q)
+
+    def screened_grids(self, num, den, l2: int, head: int) -> np.ndarray:
+        """grids over the first `head` counted alpha, completed over the
+        rest, _BLOCK_ALPHAS alpha-entries a call, only in the rows with a
+        zero cell there: a zero cell lies exactly where the full grids
+        have one, and a row with none is positive but may fall short; num
+        and den are arrays."""
+        grids = self.grids(num, den, l2, 0, head)
+        rest = len(self.codes) - head
+        if rest > 0:
+            todo = np.flatnonzero((grids == 0).any(axis=(1, 2)))
+            step = max(1, _BLOCK_ALPHAS // rest)
+            for lo in range(0, len(todo), step):
+                i = todo[lo:lo + step]
+                grids[i] += self.grids(num[i], den[i], l2, head)
+        return grids
 
 
 def _scalar_grid(f: RationalFunction, l1: int, l2: int) -> list:
@@ -420,14 +463,15 @@ def resolve_pair(q: int, m: int, n: int, *,
         return PairVerdict(
             q, m, n, UNDECIDED,
             coverage=f"field size {q}^{m} beyond dlog table limit {DLOG_LIMIT}")
-    ctx = build_ctx(p, k, m, cache=cache, factor_budget=factor_budget)
-    counter = _GridCounter(ctx, ctx.order)
-    exhaustive = sum(count_R(n1, n2, ctx)
+    exhaustive = sum(count_R(n1, n2, q ** m)
                      for n1, n2 in splits_of(n)) <= DEFAULT_F_BUDGET
     if not exhaustive and sample_count > DEFAULT_F_BUDGET:
         raise EnumerationBudgetExceeded(
             f"sample count {sample_count} exceeds f budget {DEFAULT_F_BUDGET}")
-    block = max(1, _BLOCK_ALPHAS // len(counter.codes))
+    ctx = build_ctx(p, k, m, cache=cache, factor_budget=factor_budget)
+    counter = _GridCounter(ctx, ctx.order)
+    head = min(len(counter.codes), _HEAD_PER_CELL * q * q)
+    block = max(1, _BLOCK_ALPHAS // head)
     checked = 0
     for n1, n2 in splits_of(n):
         stream = (enumerate_R(n1, n2, ctx) if exhaustive else
@@ -439,7 +483,8 @@ def resolve_pair(q: int, m: int, n: int, *,
                 # (row, a, b) in lexicographic order: the first
                 # representative in stream order with a zero cell, at its
                 # first zero cell
-                zeros = np.argwhere(counter.grids(num, den, ctx.order) == 0)
+                zeros = np.argwhere(
+                    counter.screened_grids(num, den, ctx.order, head) == 0)
                 if not len(zeros):
                     checked += len(num)
                     continue

@@ -84,11 +84,11 @@ def test_splits_of():
 
 
 def test_count_R_over_F4(F4):
-    assert count_R(1, 1, F4) == 36
-    assert count_R(2, 0, F4) == 18
-    assert count_R(0, 2, F4) == 18
+    assert count_R(1, 1, F4.N) == 36
+    assert count_R(2, 0, F4.N) == 18
+    assert count_R(0, 2, F4.N) == 18
     with pytest.raises(ValueError):
-        count_R(0, 0, F4)
+        count_R(0, 0, F4.N)
 
 
 # -- enumeration ------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_count_R_over_F4(F4):
 def test_enumerate_exhaustive_counts_match(F4):
     for n1, n2 in [(1, 1), (2, 0), (0, 2)]:
         reps = functions(F4, enumerate_R(n1, n2, F4))
-        assert len(reps) == count_R(n1, n2, F4)
+        assert len(reps) == count_R(n1, n2, F4.N)
         assert len({(f.num, f.den) for f in reps}) == len(reps)
 
 
@@ -114,7 +114,7 @@ def test_enumerate_rows_equal_nested_scalar_enumeration(pkm):
         got = [(tuple(n), tuple(d)) for num, den in enumerate_R(n1, n2, ctx)
                for n, d in zip(num.tolist(), den.tolist())]
         assert got == want
-        assert len(got) == count_R(n1, n2, ctx)
+        assert len(got) == count_R(n1, n2, ctx.N)
 
 
 def test_enumerate_order_is_canonical(F4):
@@ -404,7 +404,7 @@ def test_grids_equal_scalar_oracle_on_all_of_F16(pkm):
             for f, grid in zip(fs[lo:lo + 97], grids.tolist()):
                 assert grid == V._scalar_grid(f, ctx.order, ctx.order)
         seen += len(fs)
-    assert seen == sum(count_R(n1, n2, ctx) for n1, n2 in splits_of(2))
+    assert seen == sum(count_R(n1, n2, ctx.N) for n1, n2 in splits_of(2))
 
 
 def _edge_functions(ctx):
@@ -550,14 +550,75 @@ def test_resolve_cubic_witnesses_are_pinned(q, m, num):
 
 def test_resolve_verdicts_do_not_depend_on_block_size(monkeypatch):
     # blocks of 1 and of 7 representatives give the default run's
-    # verdict, witness and "zero cell after k representatives"
-    for q, m in ((2, 5), (2, 6), (3, 4), (4, 3), (3, 5)):
+    # verdict, witness and "zero cell after k representatives"; (2,8) is
+    # sampled and screened on a head of 64 of its 128 alpha
+    screened = V._GridCounter.screened_grids
+    for q, m in ((2, 5), (2, 6), (3, 4), (4, 3), (3, 5), (2, 8)):
         want = resolve_pair(q, m, 2).serialize()
-        L = euler_phi(factor_qm_minus_1(q, m))  # alpha-entries per row
+        L = euler_phi(factor_qm_minus_1(q, m))
+        head = min(L, V._HEAD_PER_CELL * q * q)  # alpha-entries per row
         for block in (1, 7):
-            monkeypatch.setattr(V, "_BLOCK_ALPHAS", block * L)
+            rows = set()
+
+            def record(self, num, den, l2, width):
+                rows.add(len(num))
+                return screened(self, num, den, l2, width)
+
+            monkeypatch.setattr(V, "_BLOCK_ALPHAS", block * head)
+            monkeypatch.setattr(V._GridCounter, "screened_grids", record)
             assert resolve_pair(q, m, 2).serialize() == want
+            assert max(rows) == block
         monkeypatch.undo()
+
+
+def _run_blocks(ctx, head, count=None):
+    """The blocks resolve_pair walks for n = 2 with a head of `head`
+    alpha, up to the first block with a zero cell: every representative,
+    or `count` draws a split at seed 0."""
+    block = max(1, V._BLOCK_ALPHAS // head)
+    for n1, n2 in splits_of(2):
+        stream = (enumerate_R(n1, n2, ctx) if count is None else
+                  enumerate_R(n1, n2, ctx, count=count, seed=n1))
+        for nums, dens in stream:
+            for lo in range(0, len(nums), block):
+                yield nums[lo:lo + block], dens[lo:lo + block]
+
+
+@pytest.mark.parametrize("pkm, count", [
+    ((2, 1, 4), None), ((2, 1, 5), None), ((2, 1, 6), None),
+    ((3, 1, 3), None), ((3, 1, 4), None), ((2, 2, 3), None),
+    ((5, 1, 3), None), ((2, 1, 8), 1000), ((3, 1, 7), 1000),
+    ((2, 1, 12), 1000)])
+def test_screened_grids_have_the_full_zero_cells(pkm, count):
+    # heads of 1, 8, L - 1 and resolve_pair's own: a zero cell of the
+    # screened grids lies exactly where the full grids have one, a row
+    # with a zero cell is counted in full, and no count exceeds the full
+    # one; the first zero cell of each run is recounted by the oracle.  A
+    # run that meets no zero cell recounts rows that prove positive.
+    ctx = build_ctx(*pkm)
+    n = ctx.order
+    counter = V._GridCounter(ctx, n)
+    L = len(counter.codes)
+    recounted_positive, stopped = 0, False
+    for head in sorted({1, 8, L - 1, V._HEAD_PER_CELL * ctx.q ** 2}):
+        head = min(head, L)
+        for num, den in _run_blocks(ctx, head, count):
+            full = counter.grids(num, den, n)
+            got = counter.screened_grids(num, den, n, head)
+            assert ((got == 0) == (full == 0)).all()
+            assert (got <= full).all()
+            zero_rows = (full == 0).any(axis=(1, 2))
+            assert (got[zero_rows] == full[zero_rows]).all()
+            open_rows = (counter.grids(num, den, n, 0, head) == 0).any(
+                axis=(1, 2))
+            recounted_positive += int((open_rows & ~zero_rows).sum())
+            if zero_rows.any():
+                i = int(np.argmax(zero_rows))
+                f = RationalFunction(ctx, num[i].tolist(), den[i].tolist())
+                assert full[i].tolist() == V._scalar_grid(f, n, n)
+                stopped = True
+                break  # the run stops at its first zero cell
+    assert stopped or recounted_positive > 0
 
 
 def test_resolve_exception_witness_is_deterministic():
@@ -591,13 +652,18 @@ def test_resolve_sampled_is_reproducible():
 
 
 def test_resolve_refuses_a_sample_count_above_the_f_budget(monkeypatch):
-    # 10**9 draws would need a 10**9 x 5 int64 array before the first row
-    def unexpected(*args):
-        raise AssertionError("a row was drawn")
+    # 10**9 draws would need a 10**9 x 5 int64 array before the first row;
+    # the exhaustive/sampled split reads only N = q^m, so the refusal
+    # comes before the field is built (F_{2^20} takes seconds)
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a field was built or a row was drawn")
 
     monkeypatch.setattr(V, "_draw_rows", unexpected)
+    monkeypatch.setattr(V, "build_ctx", unexpected)
     with pytest.raises(EnumerationBudgetExceeded, match="sample count"):
         resolve_pair(2, 8, 2, sample_count=10 ** 9)
+    with pytest.raises(EnumerationBudgetExceeded, match="sample count"):
+        resolve_pair(2, 20, 2, sample_count=2 * 10 ** 7)
     monkeypatch.setattr(V, "DEFAULT_F_BUDGET", 100)
     with pytest.raises(EnumerationBudgetExceeded):
         resolve_pair(2, 8, 2, sample_count=101)
