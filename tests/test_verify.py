@@ -600,8 +600,8 @@ def test_screened_grids_have_the_full_zero_cells(pkm, count):
     counter = V._GridCounter(ctx, n)
     L = len(counter.codes)
     recounted_positive, stopped = 0, False
-    for head in sorted({1, 8, L - 1, V._HEAD_PER_CELL * ctx.q ** 2}):
-        head = min(head, L)
+    heads = (1, 8, L - 1, V._HEAD_PER_CELL * ctx.q ** 2)
+    for head in sorted({min(h, L) for h in heads}):
         for num, den in _run_blocks(ctx, head, count):
             full = counter.grids(num, den, n)
             got = counter.screened_grids(num, den, n, head)
