@@ -5,7 +5,12 @@ columns mirroring the reference tables so regenerated files diff cleanly.
 Each command returns its records as (json object, csv line) pairs and
 `main` renders them once; `verify` and `crosscheck` have no csv line and
 always print JSON.  Exit codes: 0 success, 2 a budget was exhausted,
-3 invalid input.
+3 invalid input.  --format, --cache and --out come before the command,
+every other option after it:
+  factor, check, sieve, appendix2, scan   --budget-factor
+  table1                                  (none)
+  verify      --budget-factor --seed --budget-enum --sample
+  crosscheck  --budget-factor --seed --budget-enum
 """
 
 from __future__ import annotations
@@ -188,55 +193,54 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
+def positive(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return int(text)
+
+
+def int64(text: str) -> int:
+    if not -(1 << 63) <= int(text) < 1 << 63:
+        raise argparse.ArgumentTypeError(f"{text} does not fit in 64 bits")
+    return int(text)
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="primpairs", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser = _Parser(prog="primpairs", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--cache", default=None,
                         help=f"factor cache path (default ${CACHE_ENV})")
-    parser.add_argument("--budget-factor", type=int,
-                        default=DEFAULT_FACTOR_BUDGET)
-    parser.add_argument("--budget-enum", type=int,
-                        default=DEFAULT_ALPHA_BUDGET)
     parser.add_argument("--out", default=None)
 
+    factoring = argparse.ArgumentParser(add_help=False)
+    factoring.add_argument("--budget-factor", type=positive,
+                           default=DEFAULT_FACTOR_BUDGET)
+    counting = argparse.ArgumentParser(add_help=False, parents=[factoring])
+    counting.add_argument("--seed", type=int64, default=0)
+    counting.add_argument("--budget-enum", type=positive,
+                          default=DEFAULT_ALPHA_BUDGET)
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("factor", help="factor an integer")
-    s.add_argument("N", type=int)
-    s.set_defaults(func=cmd_factor)
-
-    for name, func in (("check", cmd_check), ("sieve", cmd_sieve),
-                       ("verify", cmd_verify)):
-        s = sub.add_parser(name)
-        s.add_argument("q", type=int)
-        s.add_argument("m", type=int)
-        s.add_argument("n", type=int)
+    for spec, func, parents, text in (
+            ("factor N", cmd_factor, [factoring], "factor an integer"),
+            ("check q m n", cmd_check, [factoring], "test the main condition"),
+            ("sieve q m n", cmd_sieve, [factoring], "best sieve certificate"),
+            ("appendix2 m_range", cmd_appendix2, [factoring],
+             "recompute listed certificate rows for one m or lo-hi"),
+            ("scan n", cmd_scan, [factoring], "regenerate the exception list"),
+            ("table1 n", cmd_table1, [],
+             "regenerate the worst-case window table"),
+            ("verify q m n", cmd_verify, [counting], "is (q, m) in Q_n?"),
+            ("crosscheck p k m trials", cmd_crosscheck, [counting],
+             "character sum vs brute force")):
+        name, *positionals = spec.split()
+        s = sub.add_parser(name, parents=parents, help=text, description=text)
+        for arg in positionals:
+            s.add_argument(arg, type=str if arg == "m_range" else int)
         if name == "verify":
             s.add_argument("--sample", type=int, default=DEFAULT_SAMPLE)
-            s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         s.set_defaults(func=func)
-
-    s = sub.add_parser("appendix2", help="recompute listed certificate rows")
-    s.add_argument("m_range", help="single m or lo-hi range")
-    s.set_defaults(func=cmd_appendix2)
-
-    s = sub.add_parser("scan", help="regenerate the exception list")
-    s.add_argument("n", type=int)
-    s.set_defaults(func=cmd_scan)
-
-    s = sub.add_parser("table1", help="regenerate the worst-case window table")
-    s.add_argument("n", type=int)
-    s.set_defaults(func=cmd_table1)
-
-    s = sub.add_parser("crosscheck", help="character sum vs brute force")
-    s.add_argument("p", type=int)
-    s.add_argument("k", type=int)
-    s.add_argument("m", type=int)
-    s.add_argument("trials", type=int)
-    s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    s.set_defaults(func=cmd_crosscheck)
-
     return parser
 
 
@@ -245,14 +249,9 @@ def main(argv=None) -> int:
     path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV)
     args.cache = FactorCache(path) if path else None
     try:
-        for name, value in (("factor_budget", args.budget_factor),
-                            ("enum_budget", args.budget_enum)):
-            if value < 1:
-                raise ValueError(f"{name} must be positive")
-        if not -(1 << 63) <= args.seed < 1 << 63:
-            raise ValueError("seed must fit in 64 bits")
         records = args.func(args)
-    except (FactorBudgetExceeded, EnumerationBudgetExceeded) as exc:
+    except (FactorBudgetExceeded, EnumerationBudgetExceeded,
+            MemoryError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:

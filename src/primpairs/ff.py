@@ -16,9 +16,9 @@ compared first.  The generator is the code-smallest primitive element.  Both
 choices make contexts reproducible across runs and machines.
 
 Every field has at most DLOG_LIMIT elements and carries numpy tables (powers
-of the generator, discrete logs, Frobenius, trace, inverses) that the
-character-sum and brute-force layers index directly; a larger field is
-refused at construction.  There is no digit table.
+of the generator, discrete logs, trace, inverses) that the character-sum
+and brute-force layers index directly; a larger field is refused at
+construction.  There is no digit table.
 
 A monic quadratic x^2 + c1 x + c0 is irreducible exactly when it has no root
 (Lidl-Niederreiter, Finite Fields, ch. 3): for odd q when its discriminant
@@ -469,15 +469,15 @@ class FieldCtx(_CodeField):
             raise RuntimeError("generator orbit did not cover the group")
         self.dlog = dlog
 
-        self.frob_t = np.zeros(N, dtype=np.int64)
-        self.frob_t[exp] = exp[(np.arange(n1, dtype=np.int64) * self.q) % n1]
+        frob_t = np.zeros(N, dtype=np.int64)
+        frob_t[exp] = exp[(np.arange(n1, dtype=np.int64) * self.q) % n1]
 
         self.inv_t = np.zeros(N, dtype=np.int64)
         self.inv_t[exp] = exp[(-np.arange(n1, dtype=np.int64)) % n1]
 
         acc = cur = np.arange(N, dtype=np.int64)
         for _ in range(self.m - 1):
-            cur = self.frob_t[cur]
+            cur = frob_t[cur]
             acc = self.add(acc, cur)
         if (acc >= self.q).any():
             raise RuntimeError("trace left the base field")

@@ -443,6 +443,9 @@ def resolve_pair(q: int, m: int, n: int, *,
     sample_count per split, past DEFAULT_F_BUDGET (10^7) representatives."""
     if sample_count < 1:
         raise ValueError("sample count must be positive")
+    if sample_count > DEFAULT_F_BUDGET:
+        raise EnumerationBudgetExceeded(
+            f"sample count {sample_count} exceeds f budget {DEFAULT_F_BUDGET}")
     p, k = prime_power(q)
     group = factor_qm_minus_1(q, m, cache=cache, budget=factor_budget)
     W = squarefree_divisor_count(group)
@@ -465,9 +468,6 @@ def resolve_pair(q: int, m: int, n: int, *,
             coverage=f"field size {q}^{m} beyond dlog table limit {DLOG_LIMIT}")
     exhaustive = sum(count_R(n1, n2, q ** m)
                      for n1, n2 in splits_of(n)) <= DEFAULT_F_BUDGET
-    if not exhaustive and sample_count > DEFAULT_F_BUDGET:
-        raise EnumerationBudgetExceeded(
-            f"sample count {sample_count} exceeds f budget {DEFAULT_F_BUDGET}")
     ctx = build_ctx(p, k, m, cache=cache, factor_budget=factor_budget)
     counter = _GridCounter(ctx, ctx.order)
     head = min(len(counter.codes), _HEAD_PER_CELL * q * q)

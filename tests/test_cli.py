@@ -2,6 +2,7 @@
 cache wiring, and determinism of repeated invocations."""
 
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -130,17 +131,17 @@ def test_verify_emits_verdict_with_manifest(capsys):
 
 
 def test_verify_seed_after_subcommand(capsys):
-    # a subcommand --seed overrides the global one, and without it the
-    # global one stands; help names the option's one value
-    code, out, _ = run(capsys, "--seed", "5", "verify", "3", "7", "2",
+    # --seed is read after the subcommand only; help names its one value
+    code, out, _ = run(capsys, "verify", "3", "7", "2",
                        "--sample", "30", "--seed", "1")
     blob = json.loads(out)
     assert blob["verdict"]["status"] == "verified_sampled"
     assert blob["verdict"]["seed"] == 1
     assert blob["manifest"]["seed"] == 1
-    code, out, _ = run(capsys, "--seed", "5", "verify", "3", "7", "2",
-                       "--sample", "30")
-    assert json.loads(out)["manifest"]["seed"] == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "5", "verify", "3", "7", "2", "--sample", "30"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().out == ""
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     assert "--seed SEED" in capsys.readouterr().out
@@ -162,8 +163,8 @@ def test_verify_prints_the_witness_as_json_ints(capsys):
 
 
 def test_verify_beyond_dlog_table_limit_is_undecided(capsys):
-    code, out, err = run(capsys, "--budget-enum", "33554432",
-                         "verify", "64", "4", "2")
+    code, out, err = run(capsys, "verify", "64", "4", "2",
+                         "--budget-enum", "33554432")
     assert code == 0 and err == ""
     verdict = json.loads(out)["verdict"]
     assert verdict["status"] == "undecided"
@@ -236,8 +237,8 @@ def test_crosscheck_budget_refuses_before_building_the_field(capsys, argv):
 def test_crosscheck_reads_budget_enum(capsys):
     # F_16 over F_2 needs q^2 * N = 64 entries: refused under a budget of
     # 50, and unchanged under the default
-    code, out, err = run(capsys, "--budget-enum", "50",
-                         "crosscheck", "2", "1", "4", "5")
+    code, out, err = run(capsys, "crosscheck", "2", "1", "4", "5",
+                         "--budget-enum", "50")
     assert (code, out) == (2, "")
     assert "q^2 * N = 64" in err and "budget 50" in err
     code, out, err = run(capsys, "crosscheck", "2", "1", "4", "5")
@@ -415,14 +416,49 @@ def test_empty_cache_path_means_no_cache(tmp_path, capsys, monkeypatch,
 def test_exit_code_invalid_input(capsys):
     code, _, err = run(capsys, "check", "9", "4", "2")  # m < 5
     assert code == 3 and "invalid input" in err
-    code, _, err = run(capsys, "--budget-enum", "0", "factor", "6")
-    assert code == 3 and "invalid input" in err
+    for argv in (["verify", "2", "6", "2", "--budget-enum", "0"],
+                 ["--budget-enum", "0", "factor", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+    assert "--budget-enum: 0 is not positive" in capsys.readouterr().err
 
 
 def test_exit_code_budget_exceeded(capsys):
-    code, _, err = run(capsys, "--budget-factor", "100",
-                       "factor", "1000000016000000063")
+    code, _, err = run(capsys, "factor", "1000000016000000063",
+                       "--budget-factor", "100")
     assert code == 2 and "budget exceeded" in err
+
+
+def test_scan_out_of_memory_is_budget_exit(capsys, monkeypatch):
+    # a huge n asks numpy for more memory than there is; never allocated here
+    from primpairs import verify
+
+    def unaffordable(qmax):
+        raise MemoryError("Unable to allocate 725. GiB")
+
+    monkeypatch.setattr(verify, "prime_powers_upto", unaffordable)
+    code, out, err = run(capsys, "scan", "1000000000000")
+    assert (code, out, err) == (
+        2, "", "budget exceeded: Unable to allocate 725. GiB\n")
+
+
+FACTORING = {"--budget-factor"}
+COUNTING = FACTORING | {"--seed", "--budget-enum"}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("factor", FACTORING), ("check", FACTORING), ("sieve", FACTORING),
+    ("appendix2", FACTORING), ("scan", FACTORING), ("table1", set()),
+    ("verify", COUNTING | {"--sample"}), ("crosscheck", COUNTING),
+])
+def test_each_command_accepts_only_the_options_it_reads(capsys, command,
+                                                        options):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)) == (
+        options | {"-h", "--help"})
 
 
 def test_exit_code_usage_error(capsys):

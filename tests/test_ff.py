@@ -164,7 +164,7 @@ def test_trace_linearity_and_frobenius_invariance(ctx_f2_6):
     for _ in range(40):
         a, b = rng.randrange(c.N), rng.randrange(c.N)
         assert c.trace_q(c.add(a, b)) == c.subfield.add(c.trace_q(a), c.trace_q(b))
-        assert c.trace_q(int(c.frob_t[a])) == c.trace_q(a)
+        assert c.trace_q(c.pow_(a, c.q)) == c.trace_q(a)
 
 
 def test_trace_surjectivity_counts(ctx_f4, ctx_f9, ctx_f3_4, ctx_f2_6):

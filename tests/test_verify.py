@@ -664,6 +664,12 @@ def test_resolve_refuses_a_sample_count_above_the_f_budget(monkeypatch):
         resolve_pair(2, 8, 2, sample_count=10 ** 9)
     with pytest.raises(EnumerationBudgetExceeded, match="sample count"):
         resolve_pair(2, 20, 2, sample_count=2 * 10 ** 7)
+    # refused before any factoring, also on a pair that is enumerated (2, 3)
+    # or certified by the main condition (2, 100)
+    monkeypatch.setattr(V, "factor_qm_minus_1", unexpected)
+    for m in (3, 100):
+        with pytest.raises(EnumerationBudgetExceeded, match="sample count"):
+            resolve_pair(2, m, 2, sample_count=2 * 10 ** 7)
     monkeypatch.setattr(V, "DEFAULT_F_BUDGET", 100)
     with pytest.raises(EnumerationBudgetExceeded):
         resolve_pair(2, 8, 2, sample_count=101)
