@@ -12,7 +12,7 @@ the omitted primes are the globally smallest ones they could be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -156,8 +156,7 @@ def evaluate_l(q: int, m: int, n: int, group: FactoredInteger,
         q, m, n, l_radical, s, delta, Delta, False,
         tuple(p for p in group.primes if l_radical.value % p))
     if Delta is not None and sieve_condition(q, m, n, cert):
-        cert = SieveCertificate(q, m, n, l_radical, s, delta, Delta, True,
-                                cert.omitted_primes)
+        return replace(cert, passes=True)
     return cert
 
 

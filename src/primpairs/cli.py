@@ -10,7 +10,7 @@ every other option after it:
   factor, check, sieve, appendix2, scan   --budget-factor
   table1                                  (none)
   verify      --budget-factor --seed --budget-enum --sample
-  crosscheck  --budget-factor --seed --budget-enum
+  crosscheck  --seed --budget-enum
 """
 
 from __future__ import annotations
@@ -172,8 +172,7 @@ def cmd_verify(args) -> list:
 
 def cmd_crosscheck(args) -> list:
     check_crosscheck(args.p, args.k, args.m, args.trials, args.budget_enum)
-    ctx = build_ctx(args.p, args.k, args.m, cache=args.cache,
-                    factor_budget=args.budget_factor)
+    ctx = build_ctx(args.p, args.k, args.m)
     report = crosscheck_identity(ctx, args.trials, args.seed,
                                  budget=args.budget_enum)
     blob = report.serialize()
@@ -216,10 +215,12 @@ def build_parser() -> _Parser:
     factoring = argparse.ArgumentParser(add_help=False)
     factoring.add_argument("--budget-factor", type=positive,
                            default=DEFAULT_FACTOR_BUDGET)
-    counting = argparse.ArgumentParser(add_help=False, parents=[factoring])
+    counting = argparse.ArgumentParser(add_help=False)
     counting.add_argument("--seed", type=int64, default=0)
     counting.add_argument("--budget-enum", type=positive,
                           default=DEFAULT_ALPHA_BUDGET)
+    # crosscheck's factoring, all below 2^22, never reads this budget
+    counting.set_defaults(budget_factor=DEFAULT_FACTOR_BUDGET)
 
     sub = parser.add_subparsers(dest="command", required=True)
     for spec, func, parents, text in (
@@ -231,7 +232,8 @@ def build_parser() -> _Parser:
             ("scan n", cmd_scan, [factoring], "regenerate the exception list"),
             ("table1 n", cmd_table1, [],
              "regenerate the worst-case window table"),
-            ("verify q m n", cmd_verify, [counting], "is (q, m) in Q_n?"),
+            ("verify q m n", cmd_verify, [factoring, counting],
+             "is (q, m) in Q_n?"),
             ("crosscheck p k m trials", cmd_crosscheck, [counting],
              "character sum vs brute force")):
         name, *positionals = spec.split()

@@ -27,10 +27,11 @@ c1 != 0 and Tr_{F/F_2}(c0 / c1^2) = 1 (Artin-Schreier, after the substitution
 x = c1 y).  No table of quadratics is kept.  FieldCtx.irreducible_mask
 decides a block of monic polynomials of any degree at once: quadratics so,
 higher degrees by the same Frobenius criterion as is_irreducible_poly, on
-code arrays.  It is the one irreducibility test over a FieldCtx:
+code arrays.  It decides irreducibility over the field that owns it:
 find_irreducibles streams it over blocks of canonical indices, and
 is_irreducible_in_ctx takes it on one row.  The scalar is_irreducible_poly
-serves the table-free prime field in first_irreducible.
+serves first_irreducible, which finds the defining polynomial of F_{q^m}
+over its subfield, F_p when k = 1 and the tabled F_q otherwise.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import operator
 import numpy as np
 
 from .arith import (
-    DEFAULT_FACTOR_BUDGET,
     FactoredInteger,
     factor,
     factor_qm_minus_1,
@@ -301,13 +301,16 @@ class FieldCtx(_CodeField):
     The subfield F_q is _PrimeField(p) when k = 1 and FieldCtx(p, 1, k)
     otherwise, so the same class builds every level of the tower.
 
+    factor_qm_minus_1 factors the group order N - 1 with no cache and no
+    budget: N - 1 < 2^22 < TRIAL_LIMIT^2 = 10^12, so trial division splits
+    it and Pollard rho, the one reader of a budget, is never reached.
+
     add/sub/neg work on integer codes and numpy code arrays alike, with no
     table.  mul/inv/pow_ and trace_q take integer codes, varr_mul and
     varr_inv numpy code arrays; all of them read the tables.
     """
 
-    def __init__(self, p: int, k: int, m: int, *, cache=None,
-                 factor_budget: int = DEFAULT_FACTOR_BUDGET):
+    def __init__(self, p: int, k: int, m: int):
         check_field(p, k, m)
         self.p = p
         self.k = k
@@ -319,11 +322,9 @@ class FieldCtx(_CodeField):
         if k == 1:
             self.subfield = _PrimeField(p)
         else:
-            self.subfield = FieldCtx(p, 1, k, cache=cache,
-                                     factor_budget=factor_budget)
+            self.subfield = FieldCtx(p, 1, k)
         self.poly = first_irreducible(self.subfield, m)
-        self.group_factors: FactoredInteger = factor_qm_minus_1(
-            self.q, m, cache=cache, budget=factor_budget)
+        self.group_factors: FactoredInteger = factor_qm_minus_1(self.q, m)
         self._unity = None
         self.generator = self._find_generator()
         self._build_tables()
@@ -634,10 +635,9 @@ class FieldCtx(_CodeField):
         return f"FieldCtx(p={self.p}, k={self.k}, m={self.m})"
 
 
-def build_ctx(p: int, k: int, m: int, *, cache=None,
-              factor_budget: int = DEFAULT_FACTOR_BUDGET) -> FieldCtx:
+def build_ctx(p: int, k: int, m: int) -> FieldCtx:
     """Deterministic field context for F_{(p^k)^m}."""
-    return FieldCtx(p, k, m, cache=cache, factor_budget=factor_budget)
+    return FieldCtx(p, k, m)
 
 
 # ---------------------------------------------------------------------------

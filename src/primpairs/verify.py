@@ -218,7 +218,7 @@ def _zech_logs(ctx: FieldCtx) -> np.ndarray:
 
 
 class _GridCounter:
-    """The counting kernel for one context and one l1.
+    """The counting kernel for one context and one (l1, l2).
 
     It keeps the L l1-free codes alpha, their discrete logs and the
     trace-pair cell (Tr(alpha), Tr(alpha^-1)) of each.  grids counts a block
@@ -244,7 +244,7 @@ class _GridCounter:
     to a False end.  That drops the zeros and poles of f in F, which is S
     without 0: an irreducible part of degree >= 2 has no root in F, so for
     a valid f numerator and denominator never vanish together.  W (9n-2
-    int32) and one l2 table (4n-1 bools) take 40 bytes per field element.
+    int32) and the l2 table (4n-1 bools) take 40 bytes per field element.
 
     Counts over a range of the alpha are lower bounds on the full counts,
     and counts over disjoint ranges add up to them.  screened_grids counts
@@ -255,7 +255,7 @@ class _GridCounter:
     resolve_pair reads; count_table keeps the one full pass.
     """
 
-    def __init__(self, ctx: FieldCtx, l1: int):
+    def __init__(self, ctx: FieldCtx, l1: int, l2: int):
         self.ctx = ctx
         n = ctx.order
         self._zero = -(5 * n - 2)
@@ -275,18 +275,10 @@ class _GridCounter:
         step[0] = 0
         step[1:2 * n] = self._zero - self._zero_coef
         step[6 * n - 2:].reshape(3, n)[:] = np.arange(3 * n - 1, 4 * n - 1)
-        self._l2_tables: dict[int, np.ndarray] = {}
+        # the l2 table: entry i is the residue i + 1 (mod n), the ends False
+        free = self._free = np.tile(_free_residues(ctx, l2), 4)[1:]
+        free[[0, -1]] = False
         self._rows: dict[tuple, np.ndarray] = {}
-
-    def _l2_table(self, l2: int) -> np.ndarray:
-        """l2-freeness of f(alpha) at log num - log den + 2n-1: entry i is
-        that of the residue i + 1 (mod n), and the two ends are False."""
-        table = self._l2_tables.get(l2)
-        if table is None:
-            free = np.tile(_free_residues(self.ctx, l2), 4)[1:]
-            free[[0, -1]] = False
-            self._l2_tables[l2] = table = free
-        return table
 
     def _horner(self, coeffs: np.ndarray, span=slice(None)) -> tuple:
         """(w, c): the logs of the polynomials in the rows of coeffs (lowest
@@ -304,8 +296,8 @@ class _GridCounter:
             w, c = self._step.take(s, mode="clip"), logs[:, j:j + 1]
         return w, c
 
-    def grids(self, num, den, l2: int, lo: int = 0,
-              hi: int | None = None) -> np.ndarray:
+    def grids(self, num, den, lo: int = 0, hi: int | None = None
+              ) -> np.ndarray:
         """B x q x q counts indexed by the trace pair (a, b), one grid per
         representative, over the counted alpha codes[lo:hi] (all of them by
         default): row i of num and den holds the coefficients of its
@@ -318,7 +310,7 @@ class _GridCounter:
             u = u + wn
         if wd is not None:
             u = u - wd
-        free = self._l2_table(l2).take(u, mode="clip")
+        free = self._free.take(u, mode="clip")
         rows = self._rows.get((lo, hi))
         if rows is None or len(rows) < b:  # offsets of the largest block
             rows = np.arange(b)[:, None] * q * q + self.cell[span]
@@ -328,20 +320,20 @@ class _GridCounter:
         return np.bincount(rows.compress(free.ravel()),
                            minlength=b * q * q).reshape(b, q, q)
 
-    def screened_grids(self, num, den, l2: int, head: int) -> np.ndarray:
+    def screened_grids(self, num, den, head: int) -> np.ndarray:
         """grids over the first `head` counted alpha, completed over the
         rest, _BLOCK_ALPHAS alpha-entries a call, only in the rows with a
         zero cell there: a zero cell lies exactly where the full grids
         have one, and a row with none is positive but may fall short; num
         and den are arrays."""
-        grids = self.grids(num, den, l2, 0, head)
+        grids = self.grids(num, den, 0, head)
         rest = len(self.codes) - head
         if rest > 0:
             todo = np.flatnonzero((grids == 0).any(axis=(1, 2)))
             step = max(1, _BLOCK_ALPHAS // rest)
             for lo in range(0, len(todo), step):
                 i = todo[lo:lo + step]
-                grids[i] += self.grids(num[i], den[i], l2, head)
+                grids[i] += self.grids(num[i], den[i], head)
         return grids
 
 
@@ -384,7 +376,7 @@ def count_table(f: RationalFunction, l1: int, l2: int) -> CountTable:
     ctx = f.ctx
     ctx.check_divisor(l1)
     ctx.check_divisor(l2)
-    grid = _GridCounter(ctx, l1).grids([f.num], [f.den], l2)[0]
+    grid = _GridCounter(ctx, l1, l2).grids([f.num], [f.den])[0]
     counts = tuple(tuple(int(x) for x in row) for row in grid)
     return CountTable(f, l1, l2, counts)
 
@@ -468,8 +460,8 @@ def resolve_pair(q: int, m: int, n: int, *,
             coverage=f"field size {q}^{m} beyond dlog table limit {DLOG_LIMIT}")
     exhaustive = sum(count_R(n1, n2, q ** m)
                      for n1, n2 in splits_of(n)) <= DEFAULT_F_BUDGET
-    ctx = build_ctx(p, k, m, cache=cache, factor_budget=factor_budget)
-    counter = _GridCounter(ctx, ctx.order)
+    ctx = build_ctx(p, k, m)
+    counter = _GridCounter(ctx, ctx.order, ctx.order)
     head = min(len(counter.codes), _HEAD_PER_CELL * q * q)
     block = max(1, _BLOCK_ALPHAS // head)
     checked = 0
@@ -483,8 +475,7 @@ def resolve_pair(q: int, m: int, n: int, *,
                 # (row, a, b) in lexicographic order: the first
                 # representative in stream order with a zero cell, at its
                 # first zero cell
-                zeros = np.argwhere(
-                    counter.screened_grids(num, den, ctx.order, head) == 0)
+                zeros = np.argwhere(counter.screened_grids(num, den, head) == 0)
                 if not len(zeros):
                     checked += len(num)
                     continue
@@ -531,8 +522,9 @@ class CrosscheckReport:
 def check_crosscheck(p: int, k: int, m: int, trials: int,
                      budget: int) -> None:
     """Refuse a crosscheck over F_{(p^k)^m} before any field is built: a
-    field FieldCtx would refuse, no trials, or psi-hat matrices of
-    q^2 N = p^(k(m+2)) entries each above the budget."""
+    field FieldCtx would refuse, no trials, psi-hat matrices of
+    q^2 N = p^(k(m+2)) entries each, or rad(N - 1)^2 character pairs in a
+    trial at l1 = l2 = N - 1, each an O(q^2 N) sum, above the budget."""
     check_field(p, k, m)
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -541,13 +533,19 @@ def check_crosscheck(p: int, k: int, m: int, trials: int,
         raise EnumerationBudgetExceeded(
             f"q^2 * N = {entries} character-sum entries exceed alpha budget "
             f"{budget}")
+    pairs = factor_qm_minus_1(p ** k, m).radical() ** 2
+    if pairs > budget:
+        raise EnumerationBudgetExceeded(
+            f"rad(N - 1)^2 = {pairs} character pairs exceed alpha budget "
+            f"{budget}")
 
 
 def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int, *,
                         budget: int = DEFAULT_ALPHA_BUDGET) -> CrosscheckReport:
     """Random (f, a, b, l1, l2) tuples: the character-sum count must round
-    to the brute-force integer every time.  Refused when q^2 N, the entry
-    count of each f's psi-hat matrix, exceeds the budget."""
+    to the brute-force integer every time.  Refused by check_crosscheck
+    when q^2 N, the entry count of each f's psi-hat matrix, or rad(N - 1)^2,
+    the most character pairs a trial sums, exceeds the budget."""
     from .characters import ChiPrecompute, count_via_characters
     check_crosscheck(ctx.p, ctx.k, ctx.m, trials, budget)
     rng = random.Random(seed)

@@ -251,6 +251,15 @@ def test_crosscheck_reads_budget_enum(capsys):
                                  "factor_budget": 50000000, "seed": 0}}
 
 
+def test_crosscheck_takes_no_factor_budget(capsys):
+    # its field has at most 2^22 elements, whose group order trial
+    # division splits without reading a budget
+    with pytest.raises(SystemExit) as exc:
+        main(["crosscheck", "2", "1", "4", "5", "--budget-factor", "1"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("0", "1", "-1", "3"),
     ("0", "-1", "1", "3"),
@@ -444,13 +453,14 @@ def test_scan_out_of_memory_is_budget_exit(capsys, monkeypatch):
 
 
 FACTORING = {"--budget-factor"}
-COUNTING = FACTORING | {"--seed", "--budget-enum"}
+COUNTING = {"--seed", "--budget-enum"}
 
 
 @pytest.mark.parametrize("command, options", [
     ("factor", FACTORING), ("check", FACTORING), ("sieve", FACTORING),
     ("appendix2", FACTORING), ("scan", FACTORING), ("table1", set()),
-    ("verify", COUNTING | {"--sample"}), ("crosscheck", COUNTING),
+    ("verify", FACTORING | COUNTING | {"--sample"}),
+    ("crosscheck", COUNTING),
 ])
 def test_each_command_accepts_only_the_options_it_reads(capsys, command,
                                                         options):

@@ -375,16 +375,16 @@ def test_count_table_primitive_caps(F64):
 
 
 def test_grid_counter_agrees_with_count_table(F9, F64):
-    # one counter reused across f, as resolve_pair uses it, matches the
-    # fresh counter count_table builds per call
+    # one counter per (l1, l2) reused across f, as resolve_pair uses it,
+    # matches the fresh counter count_table builds per call
     for ctx in (F9, F64):
+        fs = functions(ctx, enumerate_R(1, 1, ctx, count=5, seed=11))
         for l1 in (1, ctx.order):
-            counter = V._GridCounter(ctx, l1)
-            for f in functions(ctx, enumerate_R(1, 1, ctx, count=5,
-                                                seed=11)):
-                for l2 in (1, ctx.order):
+            for l2 in (1, ctx.order):
+                counter = V._GridCounter(ctx, l1, l2)
+                for f in fs:
                     table = count_table(f, l1, l2)
-                    assert (counter.grids([f.num], [f.den], l2)[0].tolist()
+                    assert (counter.grids([f.num], [f.den])[0].tolist()
                             == [list(r) for r in table.counts])
 
 
@@ -393,14 +393,13 @@ def test_grids_equal_scalar_oracle_on_all_of_F16(pkm):
     # every representative of every split of n = 2, in blocks of 97 so
     # that blocks straddle the scalings c
     ctx = build_ctx(*pkm)
-    counter = V._GridCounter(ctx, ctx.order)
+    counter = V._GridCounter(ctx, ctx.order, ctx.order)
     seen = 0
     for n1, n2 in splits_of(2):
         nums, dens = map(np.concatenate, zip(*enumerate_R(n1, n2, ctx)))
         fs = functions(ctx, [(nums, dens)])
         for lo in range(0, len(fs), 97):
-            grids = counter.grids(nums[lo:lo + 97], dens[lo:lo + 97],
-                                  ctx.order)
+            grids = counter.grids(nums[lo:lo + 97], dens[lo:lo + 97])
             for f, grid in zip(fs[lo:lo + 97], grids.tolist()):
                 assert grid == V._scalar_grid(f, ctx.order, ctx.order)
         seen += len(fs)
@@ -435,18 +434,18 @@ def test_grids_equal_scalar_oracle_on_samples(pkm):
     # draws of every split, then the edge rows one at a time
     ctx = build_ctx(*pkm)
     ls = (1, ctx.group_factors.primes[-1], ctx.order)
+    draws = []
+    for n1, n2 in splits_of(2) + splits_of(1):
+        (num, den), = enumerate_R(n1, n2, ctx, count=6, seed=10 * n1 + n2)
+        draws.append((num, den, functions(ctx, [(num, den)])))
     for l1 in ls:
-        counter = V._GridCounter(ctx, l1)
-        for n1, n2 in splits_of(2) + splits_of(1):
-            (num, den), = enumerate_R(n1, n2, ctx, count=6,
-                                      seed=10 * n1 + n2)
-            fs = functions(ctx, [(num, den)])
-            for l2 in ls:
-                for f, grid in zip(fs, counter.grids(num, den, l2).tolist()):
+        for l2 in ls:
+            counter = V._GridCounter(ctx, l1, l2)
+            for num, den, fs in draws:
+                for f, grid in zip(fs, counter.grids(num, den).tolist()):
                     assert grid == V._scalar_grid(f, l1, l2)
-        for f in _edge_functions(ctx):
-            for l2 in ls:
-                grid, = counter.grids([f.num], [f.den], l2).tolist()
+            for f in _edge_functions(ctx):
+                grid, = counter.grids([f.num], [f.den]).tolist()
                 assert grid == V._scalar_grid(f, l1, l2), (f, l1, l2)
 
 
@@ -473,7 +472,7 @@ def test_horner_logs_equal_scalar_evaluation(pkm):
     # coefficients and intermediate zeros included: w + c is the log of
     # p(alpha) mod n in [0, 2n-2], or lies in the zero range [z-n+1, z]
     ctx = build_ctx(*pkm)
-    n, counter = ctx.order, V._GridCounter(ctx, 1)
+    n, counter = ctx.order, V._GridCounter(ctx, 1, 1)
     rng = np.random.default_rng(sum(pkm))
     alphas = counter.codes.tolist()
     for d in range(5):
@@ -560,9 +559,9 @@ def test_resolve_verdicts_do_not_depend_on_block_size(monkeypatch):
         for block in (1, 7):
             rows = set()
 
-            def record(self, num, den, l2, width):
+            def record(self, num, den, width):
                 rows.add(len(num))
-                return screened(self, num, den, l2, width)
+                return screened(self, num, den, width)
 
             monkeypatch.setattr(V, "_BLOCK_ALPHAS", block * head)
             monkeypatch.setattr(V._GridCounter, "screened_grids", record)
@@ -597,19 +596,19 @@ def test_screened_grids_have_the_full_zero_cells(pkm, count):
     # run that meets no zero cell recounts rows that prove positive.
     ctx = build_ctx(*pkm)
     n = ctx.order
-    counter = V._GridCounter(ctx, n)
+    counter = V._GridCounter(ctx, n, n)
     L = len(counter.codes)
     recounted_positive, stopped = 0, False
     heads = (1, 8, L - 1, V._HEAD_PER_CELL * ctx.q ** 2)
     for head in sorted({min(h, L) for h in heads}):
         for num, den in _run_blocks(ctx, head, count):
-            full = counter.grids(num, den, n)
-            got = counter.screened_grids(num, den, n, head)
+            full = counter.grids(num, den)
+            got = counter.screened_grids(num, den, head)
             assert ((got == 0) == (full == 0)).all()
             assert (got <= full).all()
             zero_rows = (full == 0).any(axis=(1, 2))
             assert (got[zero_rows] == full[zero_rows]).all()
-            open_rows = (counter.grids(num, den, n, 0, head) == 0).any(
+            open_rows = (counter.grids(num, den, 0, head) == 0).any(
                 axis=(1, 2))
             recounted_positive += int((open_rows & ~zero_rows).sum())
             if zero_rows.any():
@@ -741,6 +740,19 @@ def test_crosscheck_reproducible(F9):
     a = crosscheck_identity(F9, 15, seed=3)
     b = crosscheck_identity(F9, 15, seed=3)
     assert a.serialize() == b.serialize()
+
+
+def test_crosscheck_refuses_more_character_pairs_than_the_budget():
+    # F_{2^18}: q^2 N = 2^20 is inside the default budget, but a trial at
+    # l1 = l2 = N - 1 sums rad(2^18 - 1)^2 = 29127^2 character pairs;
+    # F_{2^10}'s 1023^2 pairs are inside it
+    with pytest.raises(EnumerationBudgetExceeded) as exc:
+        V.check_crosscheck(2, 1, 18, 1, V.DEFAULT_ALPHA_BUDGET)
+    assert str(exc.value) == ("rad(N - 1)^2 = 848382129 character pairs "
+                              "exceed alpha budget 1048576")
+    V.check_crosscheck(2, 1, 10, 1, V.DEFAULT_ALPHA_BUDGET)
+    with pytest.raises(EnumerationBudgetExceeded, match="character pairs"):
+        V.check_crosscheck(2, 1, 10, 1, 1023 ** 2 - 1)
 
 
 def test_divisors_from_group_factors(F9, F64, F81):
