@@ -38,8 +38,6 @@ WINDOWS = ((10, 61), (7, 29), (6, 23), (6, 22), (6, 21), (5, 19), (5, 18))
 WINDOW_PARTS = (1, 1, 1, 1, 1, 2, 2)
 WIDE_WINDOW = (31, 472)
 
-CASCADE_MIN_M = 7
-
 
 def main_margin(q: int, m: int, n: int, W: int) -> int:
     """q^(m-4) - ((n+2) W^2)^2: positive iff the main condition holds,

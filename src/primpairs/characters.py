@@ -146,7 +146,7 @@ class ChiPrecompute:
     (everything outside S), discrete logs of alpha and f(alpha), and the
     psihat(u*alpha + v/alpha) matrix indexed by (u, v)."""
 
-    __slots__ = ("f", "alphas", "dl_alpha", "dl_f", "psimat", "q")
+    __slots__ = ("alphas", "dl_alpha", "dl_f", "psimat")
 
     def __init__(self, f: RationalFunction):
         ctx = f.ctx
@@ -156,8 +156,6 @@ class ChiPrecompute:
         fvals = f.varr_eval(alphas)
         if (fvals <= 0).any():
             raise RuntimeError("f has an unexcluded zero or pole")
-        self.f = f
-        self.q = ctx.q
         self.alphas = alphas
         self.dl_alpha = ctx.dlog[alphas]
         self.dl_f = ctx.dlog[fvals]
@@ -170,9 +168,6 @@ class ChiPrecompute:
                 vi = ctx.varr_mul(v, inv)
                 rows.append(ac.psihat_t[ctx.add(ua, vi)])
         self.psimat = np.array(rows)  # shape (q^2, len(alphas))
-
-    def summands(self) -> int:
-        return self.q * self.q * len(self.alphas)
 
 
 def chi_fab(f: RationalFunction, a, b, chi1: MultChar, chi2: MultChar,

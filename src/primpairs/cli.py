@@ -11,6 +11,9 @@ every other option after it:
   table1                                  (none)
   verify      --budget-factor --seed --budget-enum --sample
   crosscheck  --seed --budget-enum
+The factor cache (--cache, else $PRIMPAIRS_CACHE) is opened only for the
+commands that read --budget-factor; --cache before table1 or crosscheck
+is a usage error.
 """
 
 from __future__ import annotations
@@ -40,13 +43,11 @@ from .bounds import (
     main_margin,
     worst_case_row,
 )
-from .ff import build_ctx
 from .refdata import bound_window, load_certificate_rows
 from .verify import (
     DEFAULT_ALPHA_BUDGET,
     DEFAULT_SAMPLE,
     EnumerationBudgetExceeded,
-    check_crosscheck,
     crosscheck_identity,
     resolve_pair,
     scan_exceptions,
@@ -171,10 +172,8 @@ def cmd_verify(args) -> list:
 
 
 def cmd_crosscheck(args) -> list:
-    check_crosscheck(args.p, args.k, args.m, args.trials, args.budget_enum)
-    ctx = build_ctx(args.p, args.k, args.m)
-    report = crosscheck_identity(ctx, args.trials, args.seed,
-                                 budget=args.budget_enum)
+    report = crosscheck_identity(args.p, args.k, args.m, args.trials,
+                                 args.seed, budget=args.budget_enum)
     blob = report.serialize()
     blob["ok"] = report.ok
     blob["manifest"] = _manifest(args)
@@ -242,14 +241,17 @@ def build_parser() -> _Parser:
             s.add_argument(arg, type=str if arg == "m_range" else int)
         if name == "verify":
             s.add_argument("--sample", type=int, default=DEFAULT_SAMPLE)
-        s.set_defaults(func=func)
+        s.set_defaults(func=func, factors=factoring in parents)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.cache is not None and not args.factors:
+        parser.error(f"--cache: {args.command} reads no factor cache")
     path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV)
-    args.cache = FactorCache(path) if path else None
+    args.cache = FactorCache(path) if path and args.factors else None
     try:
         records = args.func(args)
     except (FactorBudgetExceeded, EnumerationBudgetExceeded,

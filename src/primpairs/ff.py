@@ -748,14 +748,6 @@ class RationalFunction:
             return " + ".join(terms) if terms else "0"
         return f"({side(self.num)})/({side(self.den)})"
 
-    def __eq__(self, other):
-        return (isinstance(other, RationalFunction)
-                and self.ctx is other.ctx
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.num, self.den))
-
     def __repr__(self):
         return f"RationalFunction({self.label()})"
 

@@ -519,12 +519,15 @@ class CrosscheckReport:
                 "mismatches": list(self.mismatches)}
 
 
-def check_crosscheck(p: int, k: int, m: int, trials: int,
-                     budget: int) -> None:
-    """Refuse a crosscheck over F_{(p^k)^m} before any field is built: a
-    field FieldCtx would refuse, no trials, psi-hat matrices of
-    q^2 N = p^(k(m+2)) entries each, or rad(N - 1)^2 character pairs in a
-    trial at l1 = l2 = N - 1, each an O(q^2 N) sum, above the budget."""
+def crosscheck_identity(p: int, k: int, m: int, trials: int, seed: int, *,
+                        budget: int = DEFAULT_ALPHA_BUDGET) -> CrosscheckReport:
+    """Random (f, a, b, l1, l2) tuples over F_{(p^k)^m}: the character-sum
+    count must round to the brute-force integer every time.  Refused
+    before the field is built: a field FieldCtx would refuse, no trials,
+    psi-hat matrices of q^2 N = p^(k(m+2)) entries each, or rad(N - 1)^2
+    character pairs in a trial at l1 = l2 = N - 1, each an O(q^2 N) sum,
+    above the budget."""
+    from .characters import ChiPrecompute, count_via_characters
     check_field(p, k, m)
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -538,31 +541,19 @@ def check_crosscheck(p: int, k: int, m: int, trials: int,
         raise EnumerationBudgetExceeded(
             f"rad(N - 1)^2 = {pairs} character pairs exceed alpha budget "
             f"{budget}")
-
-
-def crosscheck_identity(ctx: FieldCtx, trials: int, seed: int, *,
-                        budget: int = DEFAULT_ALPHA_BUDGET) -> CrosscheckReport:
-    """Random (f, a, b, l1, l2) tuples: the character-sum count must round
-    to the brute-force integer every time.  Refused by check_crosscheck
-    when q^2 N, the entry count of each f's psi-hat matrix, or rad(N - 1)^2,
-    the most character pairs a trial sums, exceeds the budget."""
-    from .characters import ChiPrecompute, count_via_characters
-    check_crosscheck(ctx.p, ctx.k, ctx.m, trials, budget)
+    ctx = build_ctx(p, k, m)
     rng = random.Random(seed)
     divisors = _divisors_of(ctx.order)
     max_dev = 0.0
     mismatches = []
-    pres: dict[RationalFunction, ChiPrecompute] = {}
     for _ in range(trials):
         n1, n2 = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
         (c, *pq), = _draw_rows(n1, n2, ctx, rng, 1).tolist()
         f = RationalFunction(ctx, [ctx.mul(c, x) for x in pq[:n1 + 1]],
                              pq[n1 + 1:], check=False)
-        if f not in pres:
-            pres[f] = ChiPrecompute(f)
         a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
         l1, l2 = rng.choice(divisors), rng.choice(divisors)
-        approx = count_via_characters(f, a, b, l1, l2, pre=pres[f])
+        approx = count_via_characters(f, a, b, l1, l2, pre=ChiPrecompute(f))
         exact = brute_force_count(f, a, b, l1, l2)
         dev = abs(approx - exact)
         max_dev = max(max_dev, dev)

@@ -190,7 +190,8 @@ def test_criterion_5_character_identities(ctx_f4, ctx_f8, ctx_f9, ctx_f3_4,
                 want = 1.0 if ctx.trace_q(code) == a else 0.0
                 assert abs(tau_a(ctx, code, a) - want) < 1e-6
 
-        report = crosscheck_identity(ctx, 20, seed=50 + ctx.N)
+        report = crosscheck_identity(ctx.p, ctx.k, ctx.m, 20,
+                                     seed=50 + ctx.N)
         assert report.trials == 20
         assert report.max_deviation < 0.5
         assert report.mismatches == ()

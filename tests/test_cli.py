@@ -422,6 +422,25 @@ def test_empty_cache_path_means_no_cache(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [("table1", "2"),
+                                  ("crosscheck", "2", "1", "4", "5")])
+def test_commands_that_factor_nothing_open_no_cache(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    # an explicit --cache is a usage error before any work; the
+    # environment's cache is left unopened
+    cache = tmp_path / "factors.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache", str(cache), *argv])
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(
+        f"error: --cache: {argv[0]} reads no factor cache\n")
+    monkeypatch.setenv("PRIMPAIRS_CACHE", str(cache))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_invalid_input(capsys):
     code, _, err = run(capsys, "check", "9", "4", "2")  # m < 5
     assert code == 3 and "invalid input" in err

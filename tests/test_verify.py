@@ -406,6 +406,36 @@ def test_grids_equal_scalar_oracle_on_all_of_F16(pkm):
     assert seen == sum(count_R(n1, n2, ctx.N) for n1, n2 in splits_of(2))
 
 
+@pytest.mark.parametrize("pkm, divisors", [((2, 1, 4), (5, 3)),
+                                           ((2, 2, 2), (5, 3)),
+                                           ((3, 1, 2), (1, 4))])
+def test_inversion_maps_each_split_onto_its_mirror_with_the_same_grids(
+        pkm, divisors):
+    # c * p/q -> c^-1 * q/p is f -> 1/f: f(alpha) and 1/f(alpha) are
+    # l2-free together, so every grid is kept, and it maps R_{n1,n2}
+    # one-to-one onto R_{n2,n1}
+    ctx = build_ctx(*pkm)
+    counters = [V._GridCounter(ctx, ctx.order, ctx.order),
+                V._GridCounter(ctx, *divisors)]
+
+    def rows(nums, dens):
+        return {(tuple(n), tuple(d))
+                for n, d in zip(nums.tolist(), dens.tolist())}
+
+    for n1, n2 in splits_of(2):
+        nums, dens = map(np.concatenate, zip(*enumerate_R(n1, n2, ctx)))
+        c_inv = ctx.varr_inv(nums[:, -1:])  # c is the leading coefficient
+        inv_nums = ctx.varr_mul(c_inv, dens)
+        inv_dens = ctx.varr_mul(c_inv, nums)
+        image = rows(inv_nums, inv_dens)
+        mirror = map(np.concatenate, zip(*enumerate_R(n2, n1, ctx)))
+        assert len(image) == len(nums) == count_R(n2, n1, ctx.N)
+        assert image == rows(*mirror)
+        for counter in counters:
+            assert (counter.grids(nums, dens)
+                    == counter.grids(inv_nums, inv_dens)).all()
+
+
 def _edge_functions(ctx):
     """Valid f whose evaluation reaches a zero coefficient (x, x^2 + c0),
     the Zech table's zero entry (x + 1 at alpha = -1 = g^(n/2)) and an
@@ -722,37 +752,47 @@ def test_verdict_serialize_shape():
 
 # -- character-sum crosscheck -----------------------------------------------
 
-def test_crosscheck_on_F4(F4_over_F2):
-    rep = crosscheck_identity(F4_over_F2, 20, seed=0)
+def test_crosscheck_on_F4():
+    rep = crosscheck_identity(2, 1, 2, 20, seed=0)
     assert rep.ok
     assert rep.trials == 20
     assert rep.max_deviation < 1e-6
     assert rep.mismatches == ()
 
 
-def test_crosscheck_on_F81(F81):
-    rep = crosscheck_identity(F81, 10, seed=4)
+def test_crosscheck_on_F81():
+    rep = crosscheck_identity(3, 1, 4, 10, seed=4)
     assert rep.ok
     assert rep.max_deviation < 0.5
 
 
-def test_crosscheck_reproducible(F9):
-    a = crosscheck_identity(F9, 15, seed=3)
-    b = crosscheck_identity(F9, 15, seed=3)
+def test_crosscheck_reproducible():
+    a = crosscheck_identity(3, 1, 2, 15, seed=3)
+    b = crosscheck_identity(3, 1, 2, 15, seed=3)
     assert a.serialize() == b.serialize()
 
 
-def test_crosscheck_refuses_more_character_pairs_than_the_budget():
+def test_crosscheck_refuses_more_character_pairs_than_the_budget(
+        monkeypatch):
     # F_{2^18}: q^2 N = 2^20 is inside the default budget, but a trial at
     # l1 = l2 = N - 1 sums rad(2^18 - 1)^2 = 29127^2 character pairs;
-    # F_{2^10}'s 1023^2 pairs are inside it
+    # F_{2^10}'s 1023^2 pairs are inside it.  Every refusal comes before
+    # the field is built, so reaching build_ctx means none was made
+    class Built(Exception):
+        pass
+
+    def build_ctx(p, k, m):
+        raise Built
+
+    monkeypatch.setattr(V, "build_ctx", build_ctx)
     with pytest.raises(EnumerationBudgetExceeded) as exc:
-        V.check_crosscheck(2, 1, 18, 1, V.DEFAULT_ALPHA_BUDGET)
+        crosscheck_identity(2, 1, 18, 1, 0)
     assert str(exc.value) == ("rad(N - 1)^2 = 848382129 character pairs "
                               "exceed alpha budget 1048576")
-    V.check_crosscheck(2, 1, 10, 1, V.DEFAULT_ALPHA_BUDGET)
+    with pytest.raises(Built):
+        crosscheck_identity(2, 1, 10, 1, 0)
     with pytest.raises(EnumerationBudgetExceeded, match="character pairs"):
-        V.check_crosscheck(2, 1, 10, 1, 1023 ** 2 - 1)
+        crosscheck_identity(2, 1, 10, 1, 0, budget=1023 ** 2 - 1)
 
 
 def test_divisors_from_group_factors(F9, F64, F81):
