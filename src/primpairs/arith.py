@@ -173,14 +173,22 @@ def _trial_primes() -> np.ndarray:
 def _get_trial_chunks(d: int) -> list[tuple[int, int, int]]:
     """Table d, built on first use: the primes below TRIAL_LIMIT that can
     divide a value of Phi_d, p = 1 (mod d) or p | d (all primes for d <= 2),
-    as (lo, hi, product) of ~512 of them, all in _sieve_primes[lo:hi]."""
+    as (lo, hi, product) of ~512 of them, all in _sieve_primes[lo:hi].
+    A product starts from int64 products of prime triples, each below
+    TRIAL_LIMIT^3 = 10^18 < 2^63, so math.prod takes 171 factors, not
+    512."""
     chunks = _trial_chunks.get(d)
     if chunks is None:
         ps = _trial_primes()
         idx = np.flatnonzero((ps % d == 1 % d) | (d % ps == 0))
-        chunks = _trial_chunks[d] = [
-            (int(sel[0]), int(sel[-1]) + 1, math.prod(ps[sel].tolist()))
-            for sel in (idx[i : i + 512] for i in range(0, len(idx), 512))]
+        chunks = _trial_chunks[d] = []
+        for i in range(0, len(idx), 512):
+            sel = idx[i : i + 512]
+            v = ps[sel].astype(np.int64)
+            n = len(v) - len(v) % 3
+            triples = v[0:n:3] * v[1:n:3] * v[2:n:3]
+            chunks.append((int(sel[0]), int(sel[-1]) + 1,
+                           math.prod(triples.tolist() + v[n:].tolist())))
     return chunks
 
 

@@ -12,13 +12,37 @@ compute the digits on the fly (XOR in characteristic 2), and need no table.
 Defining polynomials are the canonically least monic irreducibles: candidates
 are ordered by the integer formed from their coefficient tuple
 (c_0, c_1, ..., c_{d-1}) with c_0 most significant, i.e. the constant term is
-compared first.  The generator is the code-smallest primitive element.  Both
-choices make contexts reproducible across runs and machines.
+compared first.  The generator is the least primitive code from q on (from 2
+when m = 1).  Both choices make contexts reproducible across runs and
+machines.
 
 Every field has at most DLOG_LIMIT elements and carries numpy tables (powers
 of the generator, discrete logs, trace, inverses) that the character-sum
 and brute-force layers index directly; a larger field is refused at
 construction.  There is no digit table.
+
+Construction makes those choices by linear algebra over F_p:
+
+- The modulus: first_irreducible takes the first candidate that passes
+  Ben-Or's test (Gao-Panario 1997).  f of degree d is irreducible iff
+  gcd(x^(Q^i) - x, f) = 1 for i = 1, ..., d // 2, since x^(Q^i) - x is the
+  product of the monic irreducibles of degree dividing i and a reducible f
+  has a factor of degree at most d/2.  h = x^(Q^i) mod f takes one Q-th
+  power a step, and most candidates have a small factor and fail at once.
+- The generator: multiplication by a code c is F_p-linear on the k m
+  base-p digits, with the matrix M_c = sum_t digit_t(c) E_t, E_t that of
+  the basis code p^t = y^i z^j (t = i k + j), i.e. Y^i Z^j for Y and Z
+  multiplying by y and z.  The digits of c^e are M_c^e times those of 1,
+  so c is primitive iff they are not those of 1 at e = (N - 1)/r for each
+  prime r | N - 1: one square chain of M_c serves every r.  Entries stay
+  below k m p^2 < 2^63 before each reduction mod p.
+- The tables: an F_p-linear map L on codes is tabled from its k m basis
+  images by doubling over the digits: the code j P + x, x < P = p^t, maps
+  to L(x) + j L(p^t), one broadcast add per digit.  The powers of g come in
+  runs of S, about sqrt(N): the first by matrix products on digit vectors,
+  each later run the one before times g^S, such a tabled map.  The trace
+  to F_q is F_p-linear too, tabled from the traces b + b^q + ... +
+  b^(q^(m-1)) of the basis codes, read off the power table.
 
 A monic quadratic x^2 + c1 x + c0 is irreducible exactly when it has no root
 (Lidl-Niederreiter, Finite Fields, ch. 3): for odd q when its discriminant
@@ -26,12 +50,14 @@ c1^2 - 4 c0 is a nonsquare, i.e. has odd dlog; in characteristic 2 when
 c1 != 0 and Tr_{F/F_2}(c0 / c1^2) = 1 (Artin-Schreier, after the substitution
 x = c1 y).  No table of quadratics is kept.  FieldCtx.irreducible_mask
 decides a block of monic polynomials of any degree at once: quadratics so,
-higher degrees by the same Frobenius criterion as is_irreducible_poly, on
-code arrays.  It decides irreducibility over the field that owns it:
-find_irreducibles streams it over blocks of canonical indices, and
-is_irreducible_in_ctx takes it on one row.  The scalar is_irreducible_poly
-serves first_irreducible, which finds the defining polynomial of F_{q^m}
-over its subfield, F_p when k = 1 and the tabled F_q otherwise.
+higher degrees by the Frobenius criterion on code arrays (x^(Q^d) = x mod f
+and gcd(x^(Q^(d/r)) - x, f) = 1 for each prime r | d), the verdict of
+is_irreducible_poly's Ben-Or test.  It decides irreducibility over the
+field that owns it: find_irreducibles streams it over blocks of canonical
+indices, and is_irreducible_in_ctx takes it on one row.  The scalar
+is_irreducible_poly serves first_irreducible, which finds the defining
+polynomial of F_{q^m} over its subfield, F_p when k = 1 and the tabled F_q
+otherwise.
 """
 
 from __future__ import annotations
@@ -49,6 +75,7 @@ from .arith import (
 
 DLOG_LIMIT = 1 << 22
 _BLOCK_POLYS = 1 << 16  # canonical indices find_irreducibles tests at once
+_GENERATOR_BLOCK = 8  # candidate generators tested at once
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -172,29 +199,23 @@ def poly_index(cs, Q: int) -> int:
     return sum(c * Q ** (d - 1 - i) for i, c in enumerate(cs[:-1]))
 
 
-def _frobenius_power(F, Q: int, base: tuple, e: int, modulus: tuple) -> tuple:
-    """base^(Q^e) mod modulus via e repeated Q-th powers."""
-    t = base
-    for _ in range(e):
-        t = _poly_pow_mod(F, t, Q, modulus)
-    return t
-
-
 def _poly_pow_mod(F, base: tuple, e: int, modulus: tuple) -> tuple:
-    result = (1,)
+    """base^e mod modulus for e >= 1, by left-to-right square-and-multiply."""
     base = poly_mod(F, base, modulus)
-    while e:
-        if e & 1:
-            result = poly_mod(F, poly_mul(F, result, base), modulus)
-        base = poly_mod(F, poly_mul(F, base, base), modulus)
-        e >>= 1
-    return result
+    out = base
+    for bit in bin(e)[3:]:
+        out = poly_mod(F, poly_mul(F, out, out), modulus)
+        if bit == "1":
+            out = poly_mod(F, poly_mul(F, out, base), modulus)
+    return out
 
 
 def is_irreducible_poly(F, cs) -> bool:
-    """Irreducibility of monic cs over the field-like F with Q elements.
-    Uses the Frobenius criterion: x^(Q^d) = x mod cs and, for each prime
-    r | d, gcd(x^(Q^(d/r)) - x, cs) = 1."""
+    """Irreducibility of monic cs over the field-like F with Q elements, by
+    Ben-Or's test: cs of degree d is irreducible iff it has no factor of
+    degree i <= d/2, i.e. gcd(x^(Q^i) - x, cs) = 1 for i = 1, ..., d//2,
+    as x^(Q^i) - x is the product of the monic irreducibles of degree
+    dividing i.  It stops at the least degree of a factor."""
     d = len(cs) - 1
     if d < 1:
         return False
@@ -203,13 +224,10 @@ def is_irreducible_poly(F, cs) -> bool:
     if cs[0] == 0:
         return False  # root at 0
     Q = F.card
-    x = (0, 1)
-    full = _frobenius_power(F, Q, x, d, cs)
-    if full != poly_mod(F, x, cs):
-        return False
-    for r in {p for p, _ in factor(d).factors}:
-        t = _frobenius_power(F, Q, x, d // r, cs)
-        if poly_gcd(F, poly_sub(F, t, x), cs) != (1,):
+    x = h = (0, 1)
+    for _ in range(d // 2):
+        h = _poly_pow_mod(F, h, Q, cs)
+        if poly_gcd(F, poly_sub(F, h, x), cs) != (1,):
             return False
     return True
 
@@ -326,8 +344,8 @@ class FieldCtx(_CodeField):
         self.poly = first_irreducible(self.subfield, m)
         self.group_factors: FactoredInteger = factor_qm_minus_1(self.q, m)
         self._unity = None
-        self.generator = self._find_generator()
-        self._build_tables()
+        self.generator, M = self._find_generator()
+        self._build_tables(M)
 
     # -- code <-> coefficient vectors over F_q
 
@@ -411,57 +429,105 @@ class FieldCtx(_CodeField):
 
     # -- construction internals
 
-    def _pow_poly(self, a: int, e: int) -> int:
-        """a^e for e >= 0 by square-and-multiply over the defining
-        polynomial, before the tables exist."""
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_poly(out, a)
-            a = self._mul_poly(a, a)
-            e >>= 1
+    def _digits(self, codes) -> np.ndarray:
+        """The k m base-p digits of a code (array), lowest first, on a new
+        last axis."""
+        codes = np.asarray(codes, dtype=np.int64)[..., None]
+        return codes // self.p ** np.arange(self.k * self.m) % self.p
+
+    def _basis_matrices(self) -> np.ndarray:
+        """E[t], the F_p matrix on digit vectors of multiplication by the
+        code p^t = y^i z^j, t = i k + j: Y^i Z^j, with Y multiplying by y
+        (code q) and Z by z (code p), each tabled from its k m basis
+        images by the defining polynomials."""
+        p, km = self.p, self.k * self.m
+
+        def powers(c, n):  # I, C, ..., C^(n-1), C multiplying by code c
+            out = [np.eye(km, dtype=np.int64)]
+            if n > 1:
+                C = self._digits([self._mul_poly(c, p ** t)
+                                  for t in range(km)]).T
+                for _ in range(n - 1):
+                    out.append(out[-1] @ C % p)
+            return out
+
+        return np.stack([y @ z % p for y in powers(self.q, self.m)
+                         for z in powers(p, self.k)])
+
+    def _find_generator(self) -> tuple:
+        """(g, M): the least primitive code from q on, from 2 when m = 1
+        (codes < q are F_q constants, of order dividing q - 1), and its
+        multiplication matrix M = sum_t digit_t(g) E[t].  c is primitive
+        iff c^((N-1)/r) != 1 for every prime r | N - 1, and the digit
+        vector of c^e is M_c^e times that of 1, so the test is one square
+        chain of M_c and a matrix-vector product per set bit of each
+        exponent.  The candidates go _GENERATOR_BLOCK at a time, tested
+        for every r at once."""
+        p, km = self.p, self.k * self.m
+        E = self._basis_matrices()
+        if self.order == 1:
+            return 1, E[0]
+        exps = np.array([self.order // r for r in self.group_factors.primes])
+        one = np.zeros(km, dtype=np.int64)
+        one[0] = 1
+        for lo in range(2 if self.m == 1 else self.q, self.N, _GENERATOR_BLOCK):
+            cs = np.arange(lo, min(lo + _GENERATOR_BLOCK, self.N))
+            # entries stay below k m p^2 < 2^63 before each reduction
+            Ms = sq = np.tensordot(self._digits(cs), E, axes=1) % p
+            vec = np.broadcast_to(one, (len(cs), len(exps), km)).copy()
+            e = exps
+            while True:
+                odd = e & 1 == 1
+                vec[:, odd] = vec[:, odd] @ sq.swapaxes(1, 2) % p
+                e = e >> 1
+                if not e.any():
+                    break
+                sq = sq @ sq % p
+            primitive = ~(vec == one).all(axis=2).any(axis=1)
+            if primitive.any():
+                i = int(np.argmax(primitive))
+                return int(cs[i]), Ms[i]
+        raise RuntimeError("no primitive element found")  # unreachable
+
+    def _linear_table(self, imgs, field=None) -> np.ndarray:
+        """The N-entry table of the F_p-linear map from this field into
+        `field` (this field by default) that sends the basis code p^t to
+        imgs[t], doubled one digit at a time: with the table out of the
+        codes x < P = p^t, the code j P + x maps to out[x] + j imgs[t],
+        for every j < p in one broadcast add of `field`."""
+        p, add = self.p, (field or self).add
+        # multiples[j, t] = j imgs[t], digit by digit
+        multiples = (np.arange(p)[:, None, None] * self._digits(imgs) % p
+                     @ p ** np.arange(self.k * self.m))
+        out = np.zeros(1, dtype=np.int64)
+        for col in multiples.T:
+            out = add(col[:, None], out).ravel()
         return out
 
-    def _find_generator(self) -> int:
-        if self.order == 1:
-            return 1
-        # codes < q are F_q constants with order dividing q-1; they can only
-        # generate when m == 1
-        start = 2 if self.m == 1 else self.q
-        return next(c for c in range(start, self.N)
-                    if all(self._pow_poly(c, self.order // r) != 1
-                           for r in self.group_factors.primes))
+    def _build_tables(self, M):
+        p, N, km = self.p, self.N, self.k * self.m
+        weights = p ** np.arange(km)
 
-    def _build_tables(self):
-        N, p, km = self.N, self.p, self.k * self.m
-        weights = p ** np.arange(km, dtype=np.int64)
-
-        # multiplication by the generator is F_p-linear; its matrix columns
-        # are g * (basis element p^t)
-        g = self.generator
-        M = np.empty((km, km), dtype=np.int64)
-        for t in range(km):
-            prod = self._mul_poly(g, p ** t)
-            M[:, t] = [(prod // p ** s) % p for s in range(km)]
-        perm = np.empty(N, dtype=np.int64)
-        step = 1 << 16
-        for lo in range(0, N, step):
-            block = np.arange(lo, min(lo + step, N), dtype=np.int64)
-            digits = block[:, None] // weights % p
-            perm[lo:lo + len(block)] = digits @ M.T % p @ weights
-
-        # orbit of 1 under multiplication by g, filled by permutation doubling
+        # exp[a S + b] = g^(a S) g^b, S a power of two near sqrt(N).  The
+        # first S powers are digit vectors doubled by matrix products: those
+        # of g^P, ..., g^(2P-1) are M^P times those of 1, ..., g^(P-1).
+        # Each later run of S is the run before it times g^S, an F_p-linear
+        # map with the matrix M^S, read from its table.
         n1 = N - 1
+        S = 1 << (n1.bit_length() + 1) // 2
+        vecs = np.zeros((S, km), dtype=np.int64)
+        vecs[0, 0] = 1
+        P, MP = 1, M  # MP = M^P
+        while P < S:
+            vecs[P:2 * P] = vecs[:P] @ MP.T % p
+            P, MP = 2 * P, MP @ MP % p
         exp = np.empty(n1, dtype=np.int64)
-        exp[0] = 1
-        filled = 1
-        perm_pow = perm  # perm composed 2^j times
-        while filled < n1:
-            take = min(filled, n1 - filled)
-            exp[filled:filled + take] = perm_pow[exp[:take]]
-            filled += take
-            if filled < n1:
-                perm_pow = perm_pow[perm_pow]
+        exp[:S] = (vecs @ weights)[:n1]
+        if S < n1:
+            step = self._linear_table(weights @ MP)
+            for lo in range(S, n1, S):
+                hi = min(lo + S, n1)
+                exp[lo:hi] = step[exp[lo - S:hi - S]]
         self.exp = exp
 
         dlog = np.full(N, -1, dtype=np.int64)
@@ -470,19 +536,19 @@ class FieldCtx(_CodeField):
             raise RuntimeError("generator orbit did not cover the group")
         self.dlog = dlog
 
-        frob_t = np.zeros(N, dtype=np.int64)
-        frob_t[exp] = exp[(np.arange(n1, dtype=np.int64) * self.q) % n1]
-
         self.inv_t = np.zeros(N, dtype=np.int64)
         self.inv_t[exp] = exp[(-np.arange(n1, dtype=np.int64)) % n1]
 
-        acc = cur = np.arange(N, dtype=np.int64)
-        for _ in range(self.m - 1):
-            cur = frob_t[cur]
-            acc = self.add(acc, cur)
-        if (acc >= self.q).any():
+        # Tr_{F_{q^m}/F_q} is F_p-linear into F_q: table it from the traces
+        # b + b^q + ... + b^(q^(m-1)) of the basis codes b = p^t, summed
+        # in F_q
+        conj = exp[dlog[weights][:, None] * self.q ** np.arange(self.m) % n1]
+        traces = conj[:, 0]
+        for s in range(1, self.m):
+            traces = self.add(traces, conj[:, s])
+        if (traces >= self.q).any():
             raise RuntimeError("trace left the base field")
-        self.trace_t = acc
+        self.trace_t = self._linear_table(traces, self.subfield)
         if self.k == 1:
             self.trace_abs_t = np.arange(self.p, dtype=np.int64)
         else:
@@ -524,7 +590,8 @@ class FieldCtx(_CodeField):
     def irreducible_mask(self, low) -> np.ndarray:
         """True where the monic x^d + low[i, d-1] x^(d-1) + ... + low[i, 0]
         is irreducible, for a B x d code array low: is_irreducible_poly's
-        test on code arrays, every row f at once.
+        verdict, by the Frobenius criterion on code arrays, every row f at
+        once.
 
         Degree 2 is quad_reducible_mask.  Above it, phi(g) = g^N = g(x^N) is
         the Frobenius map of F[x]/(f), linear over F: one x^N by squaring,

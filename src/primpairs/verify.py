@@ -21,10 +21,12 @@ resolve_pair chains the cheap certificates before falling back to
 enumeration, and asks of each grid only whether it has a zero cell.  It
 screens each block of representatives on a head, the first
 _HEAD_PER_CELL * q^2 counted alpha (a block spans about _BLOCK_ALPHAS
-head entries), and counts the rest of alpha only for the rows with a
-zero cell in the head.  The screen is exact: a count over some of the
-alpha is at most the count over all of them, so a row positive in every
-cell of its head grid is positive in every cell of its full grid, and a
+head entries), in two stages: every row on the first _FIRST_PER_CELL *
+q^2 alpha, the rest of the head only for the rows with a zero cell so
+far, and the rest of alpha only for the rows with a zero cell in the
+head.  The screen is exact: a count over some of the alpha is at most
+the count over all of them, so a row positive in every cell of its
+grid over a head is positive in every cell of its full grid, and a
 row counted in full keeps its own zero cells.  So the witness, its cell
 and the number of representatives checked are those of the full count.
 scan_exceptions regenerates the full list of pairs the main condition
@@ -72,6 +74,7 @@ DEFAULT_F_BUDGET = 10 ** 7  # exhaustive f-loops up to this many representatives
 DEFAULT_SAMPLE = 1000
 _BLOCK_ALPHAS = 1 << 15  # alpha-entries a block of representatives spans
 _HEAD_PER_CELL = 16  # head alpha per trace cell a block is screened on
+_FIRST_PER_CELL = 8  # of those, alpha per trace cell every row is counted on
 
 CERTIFIED_MAIN = "certified_main"
 CERTIFIED_SIEVE = "certified_sieve"
@@ -321,19 +324,23 @@ class _GridCounter:
                            minlength=b * q * q).reshape(b, q, q)
 
     def screened_grids(self, num, den, head: int) -> np.ndarray:
-        """grids over the first `head` counted alpha, completed over the
-        rest, _BLOCK_ALPHAS alpha-entries a call, only in the rows with a
-        zero cell there: a zero cell lies exactly where the full grids
-        have one, and a row with none is positive but may fall short; num
-        and den are arrays."""
-        grids = self.grids(num, den, 0, head)
-        rest = len(self.codes) - head
-        if rest > 0:
+        """grids over the first min(head, _FIRST_PER_CELL * q^2) counted
+        alpha, completed up to head and then over the rest, _BLOCK_ALPHAS
+        alpha-entries a call, each stage only in the rows with a zero cell
+        so far: a zero cell lies exactly where the full grids have one,
+        and a row with none is positive but may fall short; num and den
+        are arrays."""
+        q, end = self.ctx.q, len(self.codes)
+        first = min(head, _FIRST_PER_CELL * q * q)
+        grids = self.grids(num, den, 0, first)
+        for lo, hi in ((first, head), (head, end)):
+            if hi <= lo:
+                continue
             todo = np.flatnonzero((grids == 0).any(axis=(1, 2)))
-            step = max(1, _BLOCK_ALPHAS // rest)
-            for lo in range(0, len(todo), step):
-                i = todo[lo:lo + step]
-                grids[i] += self.grids(num[i], den[i], head)
+            step = max(1, _BLOCK_ALPHAS // (hi - lo))
+            for s in range(0, len(todo), step):
+                i = todo[s:s + step]
+                grids[i] += self.grids(num[i], den[i], lo, hi)
         return grids
 
 

@@ -25,6 +25,7 @@ from primpairs.ff import (
     poly_mul,
     poly_neg,
 )
+from primpairs.verify import _irreducible_count
 
 # session-scoped contexts are provided by conftest
 
@@ -68,8 +69,10 @@ def test_build_ctx_refuses_a_huge_field_before_evaluating_it():
 
 
 def test_table_build_memory_2_18():
-    # with the factor path warm, the peak is the table build: six int64
-    # tables of N = 2^18 entries take 12.6 MB
+    # with the factor path warm, the peak is the table build: the four
+    # int64 tables of N = 2^18 entries kept (exp, dlog, inv_t, trace_t)
+    # take 8.4 MB, and the table of the step g^S and the operands of the
+    # last doubling about 5 MB more
     factor_qm_minus_1(2, 18)
     tracemalloc.start()
     try:
@@ -261,6 +264,19 @@ def test_find_irreducibles_degree3_matches_count(ctx_f4):
     assert len(polys) == (64 - 4) // 3 == 20
     for cs in polys:
         assert is_irreducible_poly(ctx_f4, cs)
+
+
+@pytest.mark.parametrize("pkm", [(2, 1, 1), (3, 1, 1), (2, 1, 2), (5, 1, 1),
+                                 (7, 1, 1), (3, 1, 2)])
+def test_is_irreducible_poly_count_is_the_necklace_count(pkm, scalar_field):
+    # over F_2, F_3, F_4, F_5, F_7 and F_9, the monic polynomials of degree
+    # d <= 5 the scalar test accepts number (1/d) sum_{e|d} mu(e) Q^(d/e)
+    c = build_ctx(*pkm)
+    F = ff._PrimeField(c.p) if c.m == 1 else scalar_field(c)
+    for d in range(1, 6):
+        accepted = sum(is_irreducible_poly(F, poly_from_index(d, n, c.N))
+                       for n in range(c.N ** d))
+        assert accepted == _irreducible_count(c.N, d), d
 
 
 # both characteristics, prime and tower base fields
