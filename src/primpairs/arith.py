@@ -867,9 +867,6 @@ class FactorCache:
         self._valid[n] = tuple(factors)
         self._dirty = True
 
-    def __len__(self) -> int:
-        return len(self._load())
-
     def save(self) -> None:
         if not self._dirty or self._data is None:
             return

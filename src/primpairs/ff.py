@@ -48,16 +48,18 @@ A monic quadratic x^2 + c1 x + c0 is irreducible exactly when it has no root
 (Lidl-Niederreiter, Finite Fields, ch. 3): for odd q when its discriminant
 c1^2 - 4 c0 is a nonsquare, i.e. has odd dlog; in characteristic 2 when
 c1 != 0 and Tr_{F/F_2}(c0 / c1^2) = 1 (Artin-Schreier, after the substitution
-x = c1 y).  No table of quadratics is kept.  FieldCtx.irreducible_mask
-decides a block of monic polynomials of any degree at once: quadratics so,
-higher degrees by the Frobenius criterion on code arrays (x^(Q^d) = x mod f
-and gcd(x^(Q^(d/r)) - x, f) = 1 for each prime r | d), the verdict of
-is_irreducible_poly's Ben-Or test.  It decides irreducibility over the
-field that owns it: find_irreducibles streams it over blocks of canonical
-indices, and is_irreducible_in_ctx takes it on one row.  The scalar
-is_irreducible_poly serves first_irreducible, which finds the defining
-polynomial of F_{q^m} over its subfield, F_p when k = 1 and the tabled F_q
-otherwise.
+x = c1 y).  No table of quadratics is kept.
+
+Above degree 2 there is one irreducibility algorithm, Ben-Or's test.
+is_irreducible_poly runs it on one tuple over any field-like F, and serves
+first_irreducible, which finds the defining polynomial of F_{q^m} over its
+subfield, F_p when k = 1 and the tabled F_q otherwise.
+FieldCtx.irreducible_mask runs the same steps on a block of monic
+polynomials over the field that owns it, as code arrays: quadratics by the
+root test above, and every higher-degree row f at once, with h = x^(N^i) mod
+f one N-th power a step, and a row dropped at its first gcd(h - x, f) != 1.
+find_irreducibles streams it over blocks of canonical indices, and
+is_irreducible_in_ctx takes it on one row.
 """
 
 from __future__ import annotations
@@ -66,12 +68,7 @@ import operator
 
 import numpy as np
 
-from .arith import (
-    FactoredInteger,
-    factor,
-    factor_qm_minus_1,
-    is_probable_prime,
-)
+from .arith import FactoredInteger, factor_qm_minus_1, is_probable_prime
 
 DLOG_LIMIT = 1 << 22
 _BLOCK_POLYS = 1 << 16  # canonical indices find_irreducibles tests at once
@@ -541,14 +538,18 @@ class FieldCtx(_CodeField):
 
         # Tr_{F_{q^m}/F_q} is F_p-linear into F_q: table it from the traces
         # b + b^q + ... + b^(q^(m-1)) of the basis codes b = p^t, summed
-        # in F_q
-        conj = exp[dlog[weights][:, None] * self.q ** np.arange(self.m) % n1]
-        traces = conj[:, 0]
-        for s in range(1, self.m):
-            traces = self.add(traces, conj[:, s])
-        if (traces >= self.q).any():
-            raise RuntimeError("trace left the base field")
-        self.trace_t = self._linear_table(traces, self.subfield)
+        # in F_q.  When m = 1 it is the identity.
+        if self.m == 1:
+            self.trace_t = np.arange(N, dtype=np.int64)
+        else:
+            conj = exp[dlog[weights][:, None] * self.q ** np.arange(self.m)
+                       % n1]
+            traces = conj[:, 0]
+            for s in range(1, self.m):
+                traces = self.add(traces, conj[:, s])
+            if (traces >= self.q).any():
+                raise RuntimeError("trace left the base field")
+            self.trace_t = self._linear_table(traces, self.subfield)
         if self.k == 1:
             self.trace_abs_t = np.arange(self.p, dtype=np.int64)
         else:
@@ -590,14 +591,12 @@ class FieldCtx(_CodeField):
     def irreducible_mask(self, low) -> np.ndarray:
         """True where the monic x^d + low[i, d-1] x^(d-1) + ... + low[i, 0]
         is irreducible, for a B x d code array low: is_irreducible_poly's
-        verdict, by the Frobenius criterion on code arrays, every row f at
-        once.
+        Ben-Or test on code arrays, every row f at once.
 
-        Degree 2 is quad_reducible_mask.  Above it, phi(g) = g^N = g(x^N) is
-        the Frobenius map of F[x]/(f), linear over F: one x^N by squaring,
-        then each phi is a combination of the powers of x^N.  f is
-        irreducible iff phi^d(x) = x and phi^(d/r)(x) - x is prime to f for
-        every prime r | d."""
+        Degree 2 is quad_reducible_mask.  Above it, for i = 1, ..., d // 2,
+        h = x^(N^i) mod f takes one N-th power of the h before it, by
+        square-and-multiply, and a row is refused, and dropped from the
+        later steps, at its first gcd(h - x, f) != 1."""
         low = np.asarray(low, dtype=np.int64)
         B, d = low.shape
         if d == 1:
@@ -605,52 +604,33 @@ class FieldCtx(_CodeField):
         if d == 2:
             return ~self.quad_reducible_mask(low[:, 0], low[:, 1])
         add, mul = self.add, self.varr_mul
-        zero, one = np.zeros(B, dtype=np.int64), np.ones(B, dtype=np.int64)
-        top = [self.neg(low[:, i]) for i in range(d)]  # x^d mod f
 
-        def reduce(prod):
-            for t in range(len(prod) - 1, d - 1, -1):
-                for i in range(d):
-                    prod[t - d + i] = add(prod[t - d + i],
-                                          mul(prod[t], top[i]))
-            return prod[:d]
-
-        def mulmod(a, b):
-            prod = [zero] * (2 * d - 1)
+        def mulmod(a, b, top):  # a b mod f, with top = x^d mod f
+            prod = [0] * (2 * d - 1)
             for i in range(d):
                 for j in range(d):
                     prod[i + j] = add(prod[i + j], mul(a[i], b[j]))
-            return reduce(prod)
+            for t in range(2 * d - 2, d - 1, -1):
+                for i in range(d):
+                    prod[t - d + i] = add(prod[t - d + i],
+                                          mul(prod[t], top[i]))
+            return np.array(prod[:d])
 
-        x = [zero, one] + [zero] * (d - 2)
-        h = x
-        for bit in bin(self.N)[3:]:
-            h = mulmod(h, h)
-            if bit == "1":
-                h = reduce([zero, *h])
-        powers = [h]  # h^1, ..., h^(d-1)
-        for _ in range(d - 2):
-            powers.append(mulmod(powers[-1], h))
-
-        def phi(g):
-            out = [g[0]] + [zero] * (d - 1)
-            for i in range(1, d):
-                for j in range(d):
-                    out[j] = add(out[j], mul(g[i], powers[i - 1][j]))
-            return out
-
-        primes = {r for r, _ in factor(d).factors}
-        gaps = []  # phi^(d/r)(x) - x
-        t = h
-        for j in range(1, d):
-            if d % j == 0 and d // j in primes:
-                gaps.append(np.column_stack([self.sub(a, b)
-                                             for a, b in zip(t, x)]))
-            t = phi(t)
-        ok = np.logical_and.reduce([a == b for a, b in zip(t, x)])
-        f = np.column_stack([low, one])
-        for g in gaps:
-            ok &= self._coprime(f, g)
+        f = np.column_stack([low, np.ones(B, dtype=np.int64)])
+        live = np.arange(B)  # the rows not refused yet
+        x = np.zeros((d, 1), dtype=np.int64)
+        x[1] = 1
+        h = x.repeat(B, axis=1)  # a column per row
+        for _ in range(d // 2):
+            top, base = self.neg(low[live].T), h
+            for bit in bin(self.N)[3:]:
+                h = mulmod(h, h, top)
+                if bit == "1":
+                    h = mulmod(h, base, top)
+            keep = self._coprime(f[live], self.sub(h, x).T)
+            live, h = live[keep], h[:, keep]
+        ok = np.zeros(B, dtype=bool)
+        ok[live] = True
         return ok
 
     def _coprime(self, a, b) -> np.ndarray:

@@ -605,7 +605,7 @@ def test_factor_cache_save_writes_the_bytes_of_json_dump(tmp_path, n):
     c.save()
     want = io.StringIO()
     json.dump(c._data, want)
-    assert len(c) == n
+    assert len(c._data) == n
     assert c.path.read_text() == want.getvalue()
 
 

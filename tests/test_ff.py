@@ -170,6 +170,25 @@ def test_trace_linearity_and_frobenius_invariance(ctx_f2_6):
         assert c.trace_q(c.pow_(a, c.q)) == c.trace_q(a)
 
 
+@pytest.mark.parametrize("pkm", [(2, 1, 1), (7, 1, 1), (3, 2, 1), (2, 3, 1),
+                                 (5, 2, 1)])
+def test_trace_of_a_degree_one_extension_is_the_identity(pkm):
+    # m = 1: Tr_{F_q/F_q} is the identity; the absolute trace is still
+    # a + a^p + ... + a^(p^(k-1)), and the quadratic mask reads both
+    c = build_ctx(*pkm)
+    assert c.trace_t.tolist() == list(range(c.N))
+    for a in range(c.N):
+        acc, t = a, a
+        for _ in range(c.k - 1):
+            t = c.pow_(t, c.p)
+            acc = c.add(acc, t)
+        assert c.trace_abs_t[c.trace_q(a)] == acc
+    polys = [poly_from_index(2, n, c.N) for n in range(c.N ** 2)]
+    low = np.array([cs[:-1] for cs in polys], dtype=np.int64)
+    assert c.irreducible_mask(low).tolist() == [
+        is_irreducible_poly(c, cs) for cs in polys]
+
+
 def test_trace_surjectivity_counts(ctx_f4, ctx_f9, ctx_f3_4, ctx_f2_6):
     for c in (ctx_f4, ctx_f9, ctx_f3_4, ctx_f2_6):
         counts = np.bincount(c.trace_t, minlength=c.q)
@@ -321,6 +340,38 @@ def test_irreducible_mask_against_generic_test(pkm, d, sample):
     low = np.array([cs[:-1] for cs in polys], dtype=np.int64)
     assert c.irreducible_mask(low).tolist() == [
         is_irreducible_poly(c, cs) for cs in polys]
+
+
+@pytest.mark.parametrize("pkm", [(2, 1, 4), (3, 1, 3), (2, 2, 3)])
+@pytest.mark.parametrize("d", [4, 5])
+def test_irreducible_mask_drops_rows_at_their_first_factor(pkm, d):
+    # one shuffled block: rows with a root leave at Ben-Or's first step,
+    # rows whose least factor is an irreducible quadratic at the second,
+    # and the irreducible rows live through every step
+    c = build_ctx(*pkm)
+    rng = random.Random(d)
+    q1, q2 = islice(find_irreducibles(2, c), 2)
+    cubic = next(find_irreducibles(3, c))
+
+    def monic(deg):
+        return tuple(rng.randrange(c.N) for _ in range(deg)) + (1,)
+
+    root = [poly_mul(c, (0, 1), monic(d - 1)),
+            poly_mul(c, (rng.randrange(1, c.N), 1), monic(d - 1))]
+    quadratic = ([poly_mul(c, q1, q2), poly_mul(c, q1, q1)] if d == 4
+                 else [poly_mul(c, q1, cubic), poly_mul(c, q2, cubic)])
+    irreducible = []
+    while len(irreducible) < 4:
+        if is_irreducible_poly(c, cs := monic(d)):
+            irreducible.append(cs)
+    rows = ([(cs, False) for cs in root + quadratic]
+            + [(cs, True) for cs in irreducible])
+    rng.shuffle(rows)
+    polys, want = zip(*rows)
+    low = np.array([cs[:-1] for cs in polys], dtype=np.int64)
+    assert c.irreducible_mask(low).tolist() == list(want)
+    assert [is_irreducible_in_ctx(c, cs) for cs in polys] == list(want)
+    assert [is_irreducible_poly(c, cs) for cs in polys] == list(want)
 
 
 @pytest.mark.parametrize("name", QUAD_FIELDS)

@@ -2,10 +2,6 @@
 
 import subprocess
 import sys
-import tomllib
-from pathlib import Path
-
-PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 FAILING = """\
 from hypothesis import given, strategies as st
@@ -17,13 +13,13 @@ def test_fails(n):
 """
 
 
-def test_a_failing_hypothesis_test_is_reported_as_one_failure(tmp_path):
+def test_a_failing_hypothesis_test_is_reported_as_one_failure(
+        tmp_path, pytestconfig):
     # on a failure the hypothesis plugin imports libcst, whose
     # DeprecationWarning, made an error, would end the run as an
     # INTERNALERROR (exit 3) in place of the failure
-    with open(PYPROJECT, "rb") as fh:
-        ini = tomllib.load(fh)["tool"]["pytest"]["ini_options"]
-    filters = "".join(f"    {f}\n" for f in ini["filterwarnings"])
+    filters = "".join(
+        f"    {f}\n" for f in pytestconfig.getini("filterwarnings"))
     (tmp_path / "pytest.ini").write_text(
         f"[pytest]\nfilterwarnings =\n{filters}")
     (tmp_path / "test_one.py").write_text(FAILING)
