@@ -538,18 +538,14 @@ class FieldCtx(_CodeField):
 
         # Tr_{F_{q^m}/F_q} is F_p-linear into F_q: table it from the traces
         # b + b^q + ... + b^(q^(m-1)) of the basis codes b = p^t, summed
-        # in F_q.  When m = 1 it is the identity.
-        if self.m == 1:
-            self.trace_t = np.arange(N, dtype=np.int64)
-        else:
-            conj = exp[dlog[weights][:, None] * self.q ** np.arange(self.m)
-                       % n1]
-            traces = conj[:, 0]
-            for s in range(1, self.m):
-                traces = self.add(traces, conj[:, s])
-            if (traces >= self.q).any():
-                raise RuntimeError("trace left the base field")
-            self.trace_t = self._linear_table(traces, self.subfield)
+        # in F_q
+        conj = exp[dlog[weights][:, None] * self.q ** np.arange(self.m) % n1]
+        traces = conj[:, 0]
+        for s in range(1, self.m):
+            traces = self.add(traces, conj[:, s])
+        if (traces >= self.q).any():
+            raise RuntimeError("trace left the base field")
+        self.trace_t = self._linear_table(traces, self.subfield)
         if self.k == 1:
             self.trace_abs_t = np.arange(self.p, dtype=np.int64)
         else:
@@ -605,28 +601,32 @@ class FieldCtx(_CodeField):
             return ~self.quad_reducible_mask(low[:, 0], low[:, 1])
         add, mul = self.add, self.varr_mul
 
-        def mulmod(a, b, top):  # a b mod f, with top = x^d mod f
-            prod = [0] * (2 * d - 1)
-            for i in range(d):
-                for j in range(d):
-                    prod[i + j] = add(prod[i + j], mul(a[i], b[j]))
-            for t in range(2 * d - 2, d - 1, -1):
+        def reduce(prod, top):  # prod mod f, with top = x^d mod f
+            for t in range(len(prod) - 1, d - 1, -1):
                 for i in range(d):
                     prod[t - d + i] = add(prod[t - d + i],
                                           mul(prod[t], top[i]))
             return np.array(prod[:d])
+
+        def mulmod(a, b, top):
+            prod = [0] * (2 * d - 1)
+            for i in range(d):
+                for j in range(d):
+                    prod[i + j] = add(prod[i + j], mul(a[i], b[j]))
+            return reduce(prod, top)
 
         f = np.column_stack([low, np.ones(B, dtype=np.int64)])
         live = np.arange(B)  # the rows not refused yet
         x = np.zeros((d, 1), dtype=np.int64)
         x[1] = 1
         h = x.repeat(B, axis=1)  # a column per row
-        for _ in range(d // 2):
+        for step in range(d // 2):
             top, base = self.neg(low[live].T), h
             for bit in bin(self.N)[3:]:
                 h = mulmod(h, h, top)
-                if bit == "1":
-                    h = mulmod(h, base, top)
+                if bit == "1":  # times x, the first base, is a shift
+                    h = (reduce([0, *h], top) if step == 0
+                         else mulmod(h, base, top))
             keep = self._coprime(f[live], self.sub(h, x).T)
             live, h = live[keep], h[:, keep]
         ok = np.zeros(B, dtype=bool)

@@ -328,7 +328,8 @@ def test_quadratic_mask_against_generic_test(name, scalar_field):
     ((2, 1, 1), 10, None), ((2, 1, 1), 9, None), ((3, 1, 1), 6, None),
     ((5, 1, 1), 5, 400), ((2, 1, 2), 6, 400), ((2, 1, 2), 4, None),
     ((3, 1, 2), 3, None), ((2, 1, 4), 3, 400), ((2, 2, 3), 3, 300),
-    ((3, 1, 7), 4, 60), ((2, 1, 12), 3, 200)])
+    ((3, 1, 7), 4, 60), ((2, 1, 12), 3, 200), ((2, 1, 4), 4, 400),
+    ((3, 1, 3), 4, 400), ((3, 1, 3), 5, 300), ((2, 2, 3), 5, 300)])
 def test_irreducible_mask_against_generic_test(pkm, d, sample):
     # prime, prime-power and composite degrees in both characteristics and
     # over a tower: every monic polynomial of degree d, or a sample
@@ -342,36 +343,16 @@ def test_irreducible_mask_against_generic_test(pkm, d, sample):
         is_irreducible_poly(c, cs) for cs in polys]
 
 
-@pytest.mark.parametrize("pkm", [(2, 1, 4), (3, 1, 3), (2, 2, 3)])
-@pytest.mark.parametrize("d", [4, 5])
-def test_irreducible_mask_drops_rows_at_their_first_factor(pkm, d):
-    # one shuffled block: rows with a root leave at Ben-Or's first step,
-    # rows whose least factor is an irreducible quadratic at the second,
-    # and the irreducible rows live through every step
+@pytest.mark.parametrize("pkm, d", [((2, 1, 4), 4), ((3, 1, 3), 5),
+                                    ((2, 2, 3), 5)])
+def test_one_row_calls_agree_with_the_generic_test(pkm, d):
+    # a row refused at Ben-Or's first step leaves the later steps no rows
     c = build_ctx(*pkm)
     rng = random.Random(d)
-    q1, q2 = islice(find_irreducibles(2, c), 2)
-    cubic = next(find_irreducibles(3, c))
-
-    def monic(deg):
-        return tuple(rng.randrange(c.N) for _ in range(deg)) + (1,)
-
-    root = [poly_mul(c, (0, 1), monic(d - 1)),
-            poly_mul(c, (rng.randrange(1, c.N), 1), monic(d - 1))]
-    quadratic = ([poly_mul(c, q1, q2), poly_mul(c, q1, q1)] if d == 4
-                 else [poly_mul(c, q1, cubic), poly_mul(c, q2, cubic)])
-    irreducible = []
-    while len(irreducible) < 4:
-        if is_irreducible_poly(c, cs := monic(d)):
-            irreducible.append(cs)
-    rows = ([(cs, False) for cs in root + quadratic]
-            + [(cs, True) for cs in irreducible])
-    rng.shuffle(rows)
-    polys, want = zip(*rows)
-    low = np.array([cs[:-1] for cs in polys], dtype=np.int64)
-    assert c.irreducible_mask(low).tolist() == list(want)
-    assert [is_irreducible_in_ctx(c, cs) for cs in polys] == list(want)
-    assert [is_irreducible_poly(c, cs) for cs in polys] == list(want)
+    polys = [poly_from_index(d, rng.randrange(c.N ** d), c.N)
+             for _ in range(30)]
+    assert [is_irreducible_in_ctx(c, cs) for cs in polys] == [
+        is_irreducible_poly(c, cs) for cs in polys]
 
 
 @pytest.mark.parametrize("name", QUAD_FIELDS)
