@@ -18,17 +18,12 @@ q x q trace-pair grids with one bincount.  A scalar pass over alpha is
 the kernel's oracle.
 
 resolve_pair chains the cheap certificates before falling back to
-enumeration, and asks of each grid only whether it has a zero cell.  It
-screens each block of representatives on a head, the first
-_HEAD_PER_CELL * q^2 counted alpha (a block spans about _BLOCK_ALPHAS
-head entries), in two stages: every row on the first _FIRST_PER_CELL *
-q^2 alpha, the rest of the head only for the rows with a zero cell so
-far, and the rest of alpha only for the rows with a zero cell in the
-head.  The screen is exact: a count over some of the alpha is at most
-the count over all of them, so a row positive in every cell of its
-grid over a head is positive in every cell of its full grid, and a
-row counted in full keeps its own zero cells.  So the witness, its cell
-and the number of representatives checked are those of the full count.
+enumeration, asks of each grid only whether it has a zero cell, and
+hands each block of the stream to _GridCounter.screened_grids, which
+counts it over doubling ranges of alpha only while a row has a zero cell
+(the schedule is described there).  The screen is exact, so the witness,
+its cell and the number of representatives checked are those of the
+full count.
 scan_exceptions regenerates the full list of pairs the main condition
 cannot settle.
 """
@@ -72,9 +67,8 @@ from .ff import (
 DEFAULT_ALPHA_BUDGET = 1 << 20
 DEFAULT_F_BUDGET = 10 ** 7  # exhaustive f-loops up to this many representatives
 DEFAULT_SAMPLE = 1000
-_BLOCK_ALPHAS = 1 << 15  # alpha-entries a block of representatives spans
-_HEAD_PER_CELL = 16  # head alpha per trace cell a block is screened on
-_FIRST_PER_CELL = 8  # of those, alpha per trace cell every row is counted on
+_BLOCK_ALPHAS = 1 << 15  # alpha-entries one kernel call of the screen spans
+_FIRST_PER_CELL = 8  # alpha per trace cell of the screen's first stage
 
 CERTIFIED_MAIN = "certified_main"
 CERTIFIED_SIEVE = "certified_sieve"
@@ -250,12 +244,11 @@ class _GridCounter:
     int32) and the l2 table (4n-1 bools) take 40 bytes per field element.
 
     Counts over a range of the alpha are lower bounds on the full counts,
-    and counts over disjoint ranges add up to them.  screened_grids counts
-    a head range first and the rest only for the rows with a zero cell in
-    their head grid: those rows get their full grid, and every other row
-    is positive in each cell, as its full grid is.  So the screened and
-    the full grids have their zero cells in the same places, which is all
-    resolve_pair reads; count_table keeps the one full pass.
+    and counts over disjoint ranges add up to them.  screened_grids uses
+    that to count a row over more alpha only while it has a zero cell (its
+    docstring gives the schedule), so the screened and the full grids have
+    their zero cells in the same places, which is all resolve_pair reads;
+    count_table keeps the one full pass.
     """
 
     def __init__(self, ctx: FieldCtx, l1: int, l2: int):
@@ -323,24 +316,31 @@ class _GridCounter:
         return np.bincount(rows.compress(free.ravel()),
                            minlength=b * q * q).reshape(b, q, q)
 
-    def screened_grids(self, num, den, head: int) -> np.ndarray:
-        """grids over the first min(head, _FIRST_PER_CELL * q^2) counted
-        alpha, completed up to head and then over the rest, _BLOCK_ALPHAS
-        alpha-entries a call, each stage only in the rows with a zero cell
-        so far: a zero cell lies exactly where the full grids have one,
-        and a row with none is positive but may fall short; num and den
-        are arrays."""
+    def screened_grids(self, num, den) -> np.ndarray:
+        """grids of a block of num and den arrays, counted only as far as
+        a zero cell needs.  Every row starts at zero.  Stage 1 covers the
+        first _FIRST_PER_CELL * q^2 counted alpha, and each later stage
+        doubles the range covered, capped at L = len(codes): for q = 3 and
+        L = 1092 the stages are 0-72, 72-144, 144-288, 288-576 and
+        576-1092.  A stage counts only the rows with a zero cell so far,
+        _BLOCK_ALPHAS // width rows a kernel call, and the screen stops
+        once no row has one.  A count over some of the alpha is at most
+        the full count, so a zero cell lies exactly where the full grids
+        have one, a row with a zero cell is counted over all L alpha, and
+        a row with none is positive but may fall short.  The counts are
+        int32, since none exceeds L < 2^22."""
         q, end = self.ctx.q, len(self.codes)
-        first = min(head, _FIRST_PER_CELL * q * q)
-        grids = self.grids(num, den, 0, first)
-        for lo, hi in ((first, head), (head, end)):
-            if hi <= lo:
-                continue
+        grids = np.zeros((len(num), q, q), dtype=np.int32)
+        lo, hi = 0, min(end, _FIRST_PER_CELL * q * q)
+        while lo < end:
             todo = np.flatnonzero((grids == 0).any(axis=(1, 2)))
+            if not len(todo):
+                break
             step = max(1, _BLOCK_ALPHAS // (hi - lo))
             for s in range(0, len(todo), step):
                 i = todo[s:s + step]
                 grids[i] += self.grids(num[i], den[i], lo, hi)
+            lo, hi = hi, min(end, 2 * hi)
         return grids
 
 
@@ -469,33 +469,31 @@ def resolve_pair(q: int, m: int, n: int, *,
                      for n1, n2 in splits_of(n)) <= DEFAULT_F_BUDGET
     ctx = build_ctx(p, k, m)
     counter = _GridCounter(ctx, ctx.order, ctx.order)
-    head = min(len(counter.codes), _HEAD_PER_CELL * q * q)
-    block = max(1, _BLOCK_ALPHAS // head)
     checked = 0
     for n1, n2 in splits_of(n):
         stream = (enumerate_R(n1, n2, ctx) if exhaustive else
                   enumerate_R(n1, n2, ctx, count=sample_count,
                               seed=seed + n1))
-        for nums, dens in stream:
-            for lo in range(0, len(nums), block):
-                num, den = nums[lo:lo + block], dens[lo:lo + block]
-                # (row, a, b) in lexicographic order: the first
-                # representative in stream order with a zero cell, at its
-                # first zero cell
-                zeros = np.argwhere(counter.screened_grids(num, den, head) == 0)
-                if not len(zeros):
-                    checked += len(num)
-                    continue
-                i, a, b = (int(x) for x in zeros[0])
-                checked += i + 1
-                f = RationalFunction(ctx, num[i].tolist(), den[i].tolist(),
-                                     check=False)
-                witness = {"f": f.serialize(), "a": a, "b": b,
-                           "split": [n1, n2]}
-                return PairVerdict(
-                    q, m, n, EXCEPTION_WITNESS, witness=witness,
-                    coverage=f"zero cell after {checked} representatives",
-                    seed=None if exhaustive else seed)
+        for num, den in stream:
+            grids = counter.screened_grids(num, den)
+            zero = (grids == 0).reshape(len(num), -1)
+            has_zero = zero.any(axis=1)
+            if not has_zero.any():
+                checked += len(num)
+                continue
+            # the first representative in stream order with a zero cell,
+            # at its first zero cell (a, b) in lexicographic order
+            i = int(has_zero.argmax())
+            a, b = divmod(int(zero[i].argmax()), q)
+            checked += i + 1
+            f = RationalFunction(ctx, num[i].tolist(), den[i].tolist(),
+                                 check=False)
+            witness = {"f": f.serialize(), "a": a, "b": b,
+                       "split": [n1, n2]}
+            return PairVerdict(
+                q, m, n, EXCEPTION_WITNESS, witness=witness,
+                coverage=f"zero cell after {checked} representatives",
+                seed=None if exhaustive else seed)
     if exhaustive:
         return PairVerdict(
             q, m, n, VERIFIED_EXHAUSTIVE,

@@ -578,39 +578,30 @@ def test_resolve_cubic_witnesses_are_pinned(q, m, num):
 
 
 def test_resolve_verdicts_do_not_depend_on_block_size(monkeypatch):
-    # blocks of 1 and of 7 representatives give the default run's
-    # verdict, witness and "zero cell after k representatives"; (2,8) is
-    # sampled and screened on a head of 64 of its 128 alpha
-    screened = V._GridCounter.screened_grids
+    # one row per kernel call, and chunks of 13 rows in the first stage,
+    # which do not divide the blocks, give the default run's verdict,
+    # witness and "zero cell after k representatives"; (2,8) is sampled
+    grids = V._GridCounter.grids
     for q, m in ((2, 5), (2, 6), (3, 4), (4, 3), (3, 5), (2, 8)):
         want = resolve_pair(q, m, 2).serialize()
         L = euler_phi(factor_qm_minus_1(q, m))
-        head = min(L, V._HEAD_PER_CELL * q * q)  # alpha-entries per row
-        for block in (1, 7):
-            rows = set()
+        first = min(L, V._FIRST_PER_CELL * q * q)  # alpha of stage 1
+        for block_alphas in (1, 13 * first):
+            calls = []  # (lo, rows) of each kernel call
 
-            def record(self, num, den, width):
-                rows.add(len(num))
-                return screened(self, num, den, width)
+            def record(self, num, den, lo=0, hi=None):
+                calls.append((lo, len(num)))
+                return grids(self, num, den, lo, hi)
 
-            monkeypatch.setattr(V, "_BLOCK_ALPHAS", block * head)
-            monkeypatch.setattr(V._GridCounter, "screened_grids", record)
+            monkeypatch.setattr(V, "_BLOCK_ALPHAS", block_alphas)
+            monkeypatch.setattr(V._GridCounter, "grids", record)
             assert resolve_pair(q, m, 2).serialize() == want
-            assert max(rows) == block
+            if block_alphas == 1:
+                assert {rows for _, rows in calls} == {1}
+            else:
+                stage1 = [rows for lo, rows in calls if lo == 0]
+                assert max(stage1) == 13 and min(stage1) < 13
         monkeypatch.undo()
-
-
-def _run_blocks(ctx, head, count=None):
-    """The blocks resolve_pair walks for n = 2 with a head of `head`
-    alpha, up to the first block with a zero cell: every representative,
-    or `count` draws a split at seed 0."""
-    block = max(1, V._BLOCK_ALPHAS // head)
-    for n1, n2 in splits_of(2):
-        stream = (enumerate_R(n1, n2, ctx) if count is None else
-                  enumerate_R(n1, n2, ctx, count=count, seed=n1))
-        for nums, dens in stream:
-            for lo in range(0, len(nums), block):
-                yield nums[lo:lo + block], dens[lo:lo + block]
 
 
 @pytest.mark.parametrize("pkm, count", [
@@ -618,27 +609,34 @@ def _run_blocks(ctx, head, count=None):
     ((3, 1, 3), None), ((3, 1, 4), None), ((2, 2, 3), None),
     ((5, 1, 3), None), ((2, 1, 8), 1000), ((3, 1, 7), 1000),
     ((2, 1, 12), 1000)])
-def test_screened_grids_have_the_full_zero_cells(pkm, count):
-    # heads of 1, 8, L - 1 and resolve_pair's own: a zero cell of the
-    # screened grids lies exactly where the full grids have one, a row
-    # with a zero cell is counted in full, and no count exceeds the full
-    # one; the first zero cell of each run is recounted by the oracle.  A
-    # run that meets no zero cell recounts rows that prove positive.
+def test_screened_grids_have_the_full_zero_cells(pkm, count, monkeypatch):
+    # a first stage of q^2, of resolve_pair's 8 q^2 and of every alpha: a
+    # zero cell of the screened grids lies exactly where the full grids
+    # have one, a row with a zero cell is counted in full, and no count
+    # exceeds the full one; the first zero cell of each run of the n = 2
+    # blocks (every representative, or `count` draws a split at seed 0)
+    # is recounted by the oracle.  A run that meets no zero cell recounts
+    # rows that prove positive.
     ctx = build_ctx(*pkm)
     n = ctx.order
     counter = V._GridCounter(ctx, n, n)
     L = len(counter.codes)
     recounted_positive, stopped = 0, False
-    heads = (1, 8, L - 1, V._HEAD_PER_CELL * ctx.q ** 2)
-    for head in sorted({min(h, L) for h in heads}):
-        for num, den in _run_blocks(ctx, head, count):
+    for per_cell in (1, 8, L):
+        monkeypatch.setattr(V, "_FIRST_PER_CELL", per_cell)
+        first = min(L, per_cell * ctx.q ** 2)
+        blocks = (block for n1, n2 in splits_of(2)
+                  for block in (enumerate_R(n1, n2, ctx) if count is None
+                                else enumerate_R(n1, n2, ctx, count=count,
+                                                 seed=n1)))
+        for num, den in blocks:
             full = counter.grids(num, den)
-            got = counter.screened_grids(num, den, head)
+            got = counter.screened_grids(num, den)
             assert ((got == 0) == (full == 0)).all()
             assert (got <= full).all()
             zero_rows = (full == 0).any(axis=(1, 2))
             assert (got[zero_rows] == full[zero_rows]).all()
-            open_rows = (counter.grids(num, den, 0, head) == 0).any(
+            open_rows = (counter.grids(num, den, 0, first) == 0).any(
                 axis=(1, 2))
             recounted_positive += int((open_rows & ~zero_rows).sum())
             if zero_rows.any():
@@ -648,6 +646,42 @@ def test_screened_grids_have_the_full_zero_cells(pkm, count):
                 stopped = True
                 break  # the run stops at its first zero cell
     assert stopped or recounted_positive > 0
+
+
+def test_screen_doubles_its_stages_and_stops_early(monkeypatch):
+    # F_{3^7}: L = phi(2186) = 1092 primitive alpha and a first stage of
+    # 8 * 3^2 = 72.  f = -x is never primitive where alpha is, so its
+    # every cell is zero and its row is counted over every stage; rows
+    # positive on the first 72 alpha make no later kernel call.
+    ctx = build_ctx(3, 1, 7)
+    counter = V._GridCounter(ctx, ctx.order, ctx.order)
+    assert len(counter.codes) == 1092
+    num, den = next(enumerate_R(1, 1, ctx, count=40, seed=0))
+    positive = (counter.grids(num, den, 0, 72) > 0).all(axis=(1, 2))
+    assert positive.sum() >= 2
+    num, den = num[positive], den[positive]
+    minus_x = np.array([[0, ctx.neg(1)]]), np.array([[1, 0]])
+    calls = []
+
+    def record(self, num, den, lo=0, hi=None):
+        calls.append((lo, hi, len(num)))
+        return grids(self, num, den, lo, hi)
+
+    grids = V._GridCounter.grids
+    monkeypatch.setattr(V._GridCounter, "grids", record)
+    got = counter.screened_grids(num, den)
+    assert calls == [(0, 72, len(num))]
+    assert (got > 0).all()
+
+    calls.clear()
+    mixed = np.vstack([num, minus_x[0]]), np.vstack([den, minus_x[1]])
+    got = counter.screened_grids(*mixed)
+    stages = [(0, 72), (72, 144), (144, 288), (288, 576), (576, 1092)]
+    assert calls == [(0, 72, len(num) + 1)] + [(lo, hi, 1)
+                                               for lo, hi in stages[1:]]
+    assert (got[-1] == 0).all() and (got[:-1] > 0).all()
+    f = RationalFunction(ctx, [0, ctx.neg(1)], [1])
+    assert got[-1].tolist() == V._scalar_grid(f, ctx.order, ctx.order)
 
 
 def test_resolve_exception_witness_is_deterministic():
