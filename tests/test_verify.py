@@ -660,6 +660,8 @@ def test_screen_doubles_its_stages_and_stops_early(monkeypatch):
     positive = (counter.grids(num, den, 0, 72) > 0).all(axis=(1, 2))
     assert positive.sum() >= 2
     num, den = num[positive], den[positive]
+    # the denominator row [1, 0] is the constant 1 padded to the block's
+    # degree-1 rows
     minus_x = np.array([[0, ctx.neg(1)]]), np.array([[1, 0]])
     calls = []
 
