@@ -18,12 +18,11 @@ q x q trace-pair grids with one bincount.  A scalar pass over alpha is
 the kernel's oracle.
 
 resolve_pair chains the cheap certificates before falling back to
-enumeration, asks of each grid only whether it has a zero cell, and
-hands each block of the stream to _GridCounter.screened_grids, which
-counts it over doubling ranges of alpha only while a row has a zero cell
-(the schedule is described there).  The screen is exact, so the witness,
-its cell and the number of representatives checked are those of the
-full count.
+enumeration, and asks _GridCounter.first_zero where each block of the
+stream has its first zero cell: the screen, screened_grids (whose
+docstring gives the schedule), counts a row over more alpha only while
+it has one, so the witness, its cell and the number of representatives
+checked are those of the full count.
 scan_exceptions regenerates the full list of pairs the main condition
 cannot settle.
 """
@@ -243,12 +242,10 @@ class _GridCounter:
     a valid f numerator and denominator never vanish together.  W (9n-2
     int32) and the l2 table (4n-1 bools) take 40 bytes per field element.
 
-    Counts over a range of the alpha are lower bounds on the full counts,
-    and counts over disjoint ranges add up to them.  screened_grids uses
-    that to count a row over more alpha only while it has a zero cell (its
-    docstring gives the schedule), so the screened and the full grids have
-    their zero cells in the same places, which is all resolve_pair reads;
-    count_table keeps the one full pass.
+    Counts over disjoint ranges of the alpha add up to the full counts,
+    so screened_grids (its docstring gives the schedule) counts a row over
+    more alpha only while it has a zero cell, which is all resolve_pair
+    reads; count_table keeps the one full pass.
     """
 
     def __init__(self, ctx: FieldCtx, l1: int, l2: int):
@@ -316,32 +313,42 @@ class _GridCounter:
         return np.bincount(rows.compress(free.ravel()),
                            minlength=b * q * q).reshape(b, q, q)
 
-    def screened_grids(self, num, den) -> np.ndarray:
-        """grids of a block of num and den arrays, counted only as far as
-        a zero cell needs.  Every row starts at zero.  Stage 1 covers the
-        first _FIRST_PER_CELL * q^2 counted alpha, and each later stage
-        doubles the range covered, capped at L = len(codes): for q = 3 and
-        L = 1092 the stages are 0-72, 72-144, 144-288, 288-576 and
-        576-1092.  A stage counts only the rows with a zero cell so far,
-        _BLOCK_ALPHAS // width rows a kernel call, and the screen stops
-        once no row has one.  A count over some of the alpha is at most
-        the full count, so a zero cell lies exactly where the full grids
-        have one, a row with a zero cell is counted over all L alpha, and
-        a row with none is positive but may fall short.  The counts are
-        int32, since none exceeds L < 2^22."""
+    def screened_grids(self, num, den):
+        """Yield (r, grids) for each chunk of a block of num and den arrays,
+        r its first row, each row counted only while it has a zero cell.
+        Stage 1 covers the first min(L, _FIRST_PER_CELL * q^2) of the L =
+        len(codes) counted alpha, and each later stage doubles the range
+        covered, capped at L (q = 3, L = 1092: 0-72, 72-144, 144-288,
+        288-576, 576-1092).  A chunk is _BLOCK_ALPHAS // (that first width)
+        rows, at least one, counted over stage 1 in one kernel call; a later
+        stage counts its rows with a zero cell _BLOCK_ALPHAS // width a call.
+        A partial count is at most the full one, so zero cells lie exactly
+        where the full grids have them, a row with one is counted over all
+        L alpha, and a row with none is positive but may fall short."""
         q, end = self.ctx.q, len(self.codes)
-        grids = np.zeros((len(num), q, q), dtype=np.int32)
-        lo, hi = 0, min(end, _FIRST_PER_CELL * q * q)
-        while lo < end:
-            todo = np.flatnonzero((grids == 0).any(axis=(1, 2)))
-            if not len(todo):
-                break
-            step = max(1, _BLOCK_ALPHAS // (hi - lo))
-            for s in range(0, len(todo), step):
-                i = todo[s:s + step]
-                grids[i] += self.grids(num[i], den[i], lo, hi)
-            lo, hi = hi, min(end, 2 * hi)
-        return grids
+        first = min(end, _FIRST_PER_CELL * q * q)
+        chunk = max(1, _BLOCK_ALPHAS // first)
+        for r in range(0, len(num), chunk):
+            nums, dens = num[r:r + chunk], den[r:r + chunk]
+            grids, lo = self.grids(nums, dens, 0, first), first
+            while lo < end and len(
+                    todo := np.flatnonzero((grids == 0).any(axis=(1, 2)))):
+                hi = min(end, 2 * lo)
+                step = max(1, _BLOCK_ALPHAS // (hi - lo))
+                for s in range(0, len(todo), step):
+                    i = todo[s:s + step]
+                    grids[i] += self.grids(nums[i], dens[i], lo, hi)
+                lo = hi
+            yield r, grids
+
+    def first_zero(self, num, den) -> tuple | None:
+        """The least (i, a, b) with a zero cell grids[i, a, b], or None."""
+        for r, grids in self.screened_grids(num, den):
+            zero = grids == 0
+            if zero.any():
+                i, a, b = np.unravel_index(zero.argmax(), zero.shape)
+                return r + int(i), int(a), int(b)
+        return None
 
 
 def _scalar_grid(f: RationalFunction, l1: int, l2: int) -> list:
@@ -475,16 +482,10 @@ def resolve_pair(q: int, m: int, n: int, *,
                   enumerate_R(n1, n2, ctx, count=sample_count,
                               seed=seed + n1))
         for num, den in stream:
-            grids = counter.screened_grids(num, den)
-            zero = (grids == 0).reshape(len(num), -1)
-            has_zero = zero.any(axis=1)
-            if not has_zero.any():
+            if (hit := counter.first_zero(num, den)) is None:
                 checked += len(num)
                 continue
-            # the first representative in stream order with a zero cell,
-            # at its first zero cell (a, b) in lexicographic order
-            i = int(has_zero.argmax())
-            a, b = divmod(int(zero[i].argmax()), q)
+            i, a, b = hit
             checked += i + 1
             f = RationalFunction(ctx, num[i].tolist(), den[i].tolist(),
                                  check=False)

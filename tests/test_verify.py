@@ -578,9 +578,10 @@ def test_resolve_cubic_witnesses_are_pinned(q, m, num):
 
 
 def test_resolve_verdicts_do_not_depend_on_block_size(monkeypatch):
-    # one row per kernel call, and chunks of 13 rows in the first stage,
-    # which do not divide the blocks, give the default run's verdict,
-    # witness and "zero cell after k representatives"; (2,8) is sampled
+    # one row per kernel call, and chunks of 13 rows, which do not divide
+    # the blocks, give the default run's verdict, witness and "zero cell
+    # after k representatives"; (2,8) is sampled.  Each witness here lies
+    # in the first 13 rows, so its run counts one chunk.
     grids = V._GridCounter.grids
     for q, m in ((2, 5), (2, 6), (3, 4), (4, 3), (3, 5), (2, 8)):
         want = resolve_pair(q, m, 2).serialize()
@@ -600,7 +601,10 @@ def test_resolve_verdicts_do_not_depend_on_block_size(monkeypatch):
                 assert {rows for _, rows in calls} == {1}
             else:
                 stage1 = [rows for lo, rows in calls if lo == 0]
-                assert max(stage1) == 13 and min(stage1) < 13
+                if want["status"] == "exception_witness":
+                    assert stage1 == [13]
+                else:
+                    assert max(stage1) == 13 and min(stage1) < 13
         monkeypatch.undo()
 
 
@@ -631,7 +635,13 @@ def test_screened_grids_have_the_full_zero_cells(pkm, count, monkeypatch):
                                                  seed=n1)))
         for num, den in blocks:
             full = counter.grids(num, den)
-            got = counter.screened_grids(num, den)
+            chunks = list(counter.screened_grids(num, den))
+            assert [r for r, _ in chunks] == list(range(0, len(num), max(
+                1, V._BLOCK_ALPHAS // first)))
+            got = np.concatenate([g for _, g in chunks])
+            zeros = np.argwhere(full == 0).tolist()
+            assert counter.first_zero(num, den) == (
+                tuple(zeros[0]) if zeros else None)
             assert ((got == 0) == (full == 0)).all()
             assert (got <= full).all()
             zero_rows = (full == 0).any(axis=(1, 2))
@@ -671,19 +681,38 @@ def test_screen_doubles_its_stages_and_stops_early(monkeypatch):
 
     grids = V._GridCounter.grids
     monkeypatch.setattr(V._GridCounter, "grids", record)
-    got = counter.screened_grids(num, den)
+    (_, got), = counter.screened_grids(num, den)
     assert calls == [(0, 72, len(num))]
     assert (got > 0).all()
 
     calls.clear()
     mixed = np.vstack([num, minus_x[0]]), np.vstack([den, minus_x[1]])
-    got = counter.screened_grids(*mixed)
+    (_, got), = counter.screened_grids(*mixed)
     stages = [(0, 72), (72, 144), (144, 288), (288, 576), (576, 1092)]
     assert calls == [(0, 72, len(num) + 1)] + [(lo, hi, 1)
                                                for lo, hi in stages[1:]]
     assert (got[-1] == 0).all() and (got[:-1] > 0).all()
     f = RationalFunction(ctx, [0, ctx.neg(1)], [1])
     assert got[-1].tolist() == V._scalar_grid(f, ctx.order, ctx.order)
+
+
+def test_resolve_stops_at_the_first_chunk_with_a_zero_cell(monkeypatch):
+    # F_{16^2}: L = phi(255) = 128 < q^2 = 256 primitive alpha, so every
+    # representative has a zero cell.  Stage 1 covers all 128, a chunk is
+    # 2^15 // 128 = 256 rows of the first block's 32,640, and the screen
+    # counts that one chunk and no more.
+    calls = []
+    grids = V._GridCounter.grids
+
+    def record(self, num, den, lo=0, hi=None):
+        calls.append((lo, hi, len(num)))
+        return grids(self, num, den, lo, hi)
+
+    monkeypatch.setattr(V._GridCounter, "grids", record)
+    v = resolve_pair(16, 2, 2)
+    assert v.status == "exception_witness"
+    assert v.coverage == "zero cell after 1 representatives"
+    assert calls == [(0, 128, 256)]
 
 
 def test_resolve_exception_witness_is_deterministic():
