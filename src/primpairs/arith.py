@@ -3,8 +3,10 @@
 Everything here is deterministic.  Factoring trial-divides by the primes
 below 10**6 that can divide the number (p = 1 mod d or p | d for a part
 Phi_d(q) of q**m - 1) behind prime-product gcds, up to the square root of
-what is left, then runs Brent's Pollard rho with a fixed parameter
-sequence.  Primality is a lookup in the prime table up to its limit, then
+what is left, then runs Brent's Pollard rho on the walk y**lcm(2, d) + c,
+c = 1, 2, ... in turn: every prime of a cofactor of Phi_d(q) is 1 mod
+lcm(2, d) (d = 1 for a plain n).  Primality is a lookup in the prime
+table up to its limit, then
 Miller-Rabin with the first k prime witnesses, k the least with
 n < psi_k, where psi_k is the least strong pseudoprime to those k bases
 (the ladder 2047, 1373653, ... of Jaeschke and of Sorenson and Webster,
@@ -65,7 +67,11 @@ _SIEVE_BLOCK = 4096  # about this many values per array of a numpy sieve
 #: A composite cofactor c is proven a product of two primes only when
 #: cbrt(c) <= _CUBE_LIMIT, so each progression sieve stops here.
 _CUBE_LIMIT = 2 ** 23
-DEFAULT_FACTOR_BUDGET = 50_000_000  # Pollard rho iterations per factor() call
+#: Modular squarings one Pollard rho call may spend, floor(log2 k) for each
+#: step of its walk y**k + c that enters a gcd (about half of its steps;
+#: the rest only move the walk on); each composite cofactor taken apart
+#: gets a call of its own.
+DEFAULT_FACTOR_BUDGET = 50_000_000
 
 
 class FactorBudgetExceeded(RuntimeError):
@@ -167,7 +173,7 @@ _trial_chunks: dict[int, list[tuple[int, int, int]]] = {}
 
 @functools.cache
 def _trial_primes() -> np.ndarray:
-    return np.array(primes_upto(TRIAL_LIMIT), dtype=np.int32)
+    return np.array(primes_upto(TRIAL_LIMIT), dtype=np.int64)
 
 
 def _get_trial_chunks(d: int) -> list[tuple[int, int, int]]:
@@ -184,12 +190,23 @@ def _get_trial_chunks(d: int) -> list[tuple[int, int, int]]:
         chunks = _trial_chunks[d] = []
         for i in range(0, len(idx), 512):
             sel = idx[i : i + 512]
-            v = ps[sel].astype(np.int64)
+            v = ps[sel]
             n = len(v) - len(v) % 3
             triples = v[0:n:3] * v[1:n:3] * v[2:n:3]
             chunks.append((int(sel[0]), int(sel[-1]) + 1,
                            math.prod(triples.tolist() + v[n:].tolist())))
     return chunks
+
+
+def _residues(c: int, ps: np.ndarray) -> np.ndarray:
+    """c mod p for c >= 0 and each p of the int64 array ps (each p
+    < 2**31), by Horner over c's 32-bit limbs from the top one down: each
+    partial residue r < p has (r << 32) + limb < 2**63."""
+    top = max(c.bit_length() - 1, 0) // 32 * 32
+    r = (c >> top) % ps
+    for shift in range(top - 32, -1, -32):
+        r = ((r << 32) + (c >> shift & 0xFFFFFFFF)) % ps
+    return r
 
 
 def _trial_divide(n: int, d: int = 1) -> tuple[dict[int, int], int]:
@@ -201,25 +218,32 @@ def _trial_divide(n: int, d: int = 1) -> tuple[dict[int, int], int]:
     Division stops at the first chunk whose least prime P has P*P > rem:
     every prime of rem is then at least P, so rem is 1 or prime.  A rem
     left at the end is prime when below TRIAL_LIMIT**2 (two of its primes
-    would multiply past that).  A prime rem goes into {p: e}."""
+    would multiply past that).  A prime rem goes into {p: e}.
+
+    A chunk's gcd g with rem is a product of distinct primes of the
+    chunk, each at least P: below P*P it is one prime, and otherwise its
+    primes are those p <= g of _sieve_primes[lo:hi] with g mod p = 0,
+    read in one numpy pass."""
     fac: dict[int, int] = {}
     rem = n
     for lo, hi, prod in _get_trial_chunks(d):
-        if _sieve_primes[lo] ** 2 > rem:
+        least_sq = _sieve_primes[lo] ** 2
+        if least_sq > rem:
             break
         g = math.gcd(rem, prod)
         if g == 1:
             continue
-        for p in _sieve_primes[lo:hi]:
-            if g % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                fac[p] = e
-                g //= p
-                if g == 1:
-                    break
+        if g < least_sq:
+            hits = [g]
+        else:
+            ps = _trial_primes()[lo : bisect_right(_sieve_primes, g, lo, hi)]
+            hits = ps[_residues(g, ps) == 0].tolist()
+        for p in hits:
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            fac[p] = e
     if 1 < rem < TRIAL_LIMIT ** 2:
         fac[rem] = 1
         rem = 1
@@ -266,7 +290,7 @@ def _sieve_blocks(d: int, qmax: int) -> Iterator[np.ndarray]:
     step = _SIEVE_BLOCK * sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
     for i in range(0, len(ps), step):
         p = ps[i : i + step]
-        p = p[p % d == 1 % d].astype(np.int64)
+        p = p[p % d == 1 % d]
         if len(p):
             load = np.cumsum(qmax // p + 1)
             cuts = np.arange(_SIEVE_BLOCK, load[-1], _SIEVE_BLOCK)
@@ -401,17 +425,11 @@ def _progression_primes(step: int) -> np.ndarray:
 
 
 def _divides_any(c: int, ps: np.ndarray) -> bool:
-    """Whether some p of ps (each < 2**31) divides c < 2**96: c mod p by
-    Horner over c's 32-bit limbs, _SIEVE_BLOCK primes at a time."""
-    limbs = [c >> shift & 0xFFFFFFFF for shift in (64, 32, 0)]
-    for i in range(0, len(ps), _SIEVE_BLOCK):
-        p = ps[i : i + _SIEVE_BLOCK].astype(np.int64)
-        r = np.zeros_like(p)
-        for limb in limbs:
-            r = ((r << 32) + limb) % p
-        if not r.all():
-            return True
-    return False
+    """Whether some p of ps (each < 2**31) divides c, _SIEVE_BLOCK primes
+    at a time."""
+    return any(
+        not _residues(c, ps[i : i + _SIEVE_BLOCK].astype(np.int64)).all()
+        for i in range(0, len(ps), _SIEVE_BLOCK))
 
 
 def _two_primes(c: int, d: int) -> bool:
@@ -432,12 +450,18 @@ def _two_primes(c: int, d: int) -> bool:
     return not _divides_any(c, ps[: bisect_right(ps, root)])
 
 
-def _brent_rho(n: int, budget: int) -> int:
-    """Nontrivial factor of composite odd n.  Deterministic: constants
-    c = 1, 2, 3, ... tried in order from x0 = 2, differences batched 128
-    at a time before each gcd."""
+def _brent_rho(n: int, k: int, budget: int) -> int:
+    """Nontrivial factor of composite odd n by Brent's cycle search on the
+    walk y -> y**k + c (mod n), k even.  Mod a prime p with k | p - 1,
+    y**k takes (p - 1)/k + 1 values, so the walk meets a repeat about
+    sqrt(k - 1) times sooner than with k = 2 (Brent and Pollard,
+    Math. Comp. 36, 1981).  Deterministic: constants c = 1, 2, 3, ...
+    tried in order from x0 = 2, differences batched 128 at a time before
+    each gcd.  The budget counts modular squarings: floor(log2 k) for
+    each step whose difference enters a gcd."""
     if n % 2 == 0:
         return 2
+    cost = k.bit_length() - 1
     total = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
@@ -445,23 +469,23 @@ def _brent_rho(n: int, budget: int) -> int:
         while g == 1:
             x = y
             for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
+                y = (pow(y, k, n) + c) % n
+            j = 0
+            while j < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
+                for _ in range(min(128, r - j)):
+                    y = (pow(y, k, n) + c) % n
                     q = q * (x - y) % n
-                total += min(128, r - k)
+                total += min(128, r - j) * cost
                 if total > budget:
                     raise FactorBudgetExceeded(f"rho budget exhausted on {n}")
                 g = math.gcd(q, n)
-                k += 128
+                j += 128
             r *= 2
         if g == n:
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % n
+                ys = (pow(ys, k, n) + c) % n
                 g = math.gcd(x - ys, n)
         if g != n:
             return g
@@ -516,16 +540,19 @@ def factor(n: int, *, cache: "FactorCache | None" = None,
     """Complete prime factorization of n >= 1."""
     if n < 1:
         raise ValueError("factor() needs a positive integer")
-    return _finish_part(n, *_split_part(n, 1, cache), cache, budget)
+    return _finish_part(n, 1, *_split_part(n, 1, cache), cache, budget)
 
 
-def _take_apart(c: int, budget: int) -> list[int]:
+def _take_apart(c: int, d: int, budget: int) -> list[int]:
     """Factors > 1 of a composite c multiplying to c: b, k times, for the
-    perfect power c = b**k, else the two of a Brent rho split."""
+    perfect power c = b**k, else the two of a Brent rho split.  c divides
+    a cofactor of Phi_d(q) (d = 1: of any n), so for d < TRIAL_LIMIT each
+    prime p of c is 1 (mod lcm(2, d)), as in _two_primes, and rho walks
+    y**lcm(2, d) + c, whose exponent divides p - 1."""
     b, k = _perfect_power(c)
     if k > 1:
         return [b] * k
-    f = _brent_rho(c, budget)
+    f = _brent_rho(c, math.lcm(2, d), budget)
     return [f, c // f]
 
 
@@ -538,23 +565,24 @@ def _cache_part(n: int, fac: dict[int, int], cache: "FactorCache | None"
     return result
 
 
-def _finish_part(n: int, fac: dict[int, int], rem: int,
+def _finish_part(n: int, d: int, fac: dict[int, int], rem: int,
                  cache: "FactorCache | None", budget: int, *,
                  composite: bool = False) -> FactoredInteger:
-    """The factorization of n from its split ({p: e}, cofactor) by
-    _split_part: a cofactor is proven prime or taken apart by perfect
-    powers and Brent rho (its first test is skipped when `composite`
-    says it failed already), and the result is cached."""
+    """The factorization of n, a value of Phi_d if d > 1, from its split
+    ({p: e}, cofactor) by _split_part: a cofactor is proven prime or
+    taken apart by perfect powers and Brent rho (its first test is
+    skipped when `composite` says it failed already), and the result is
+    cached."""
     if rem == 1:
         return factored(n, fac.items())
     fac = dict(fac)
-    stack = _take_apart(rem, budget) if composite else [rem]
+    stack = _take_apart(rem, d, budget) if composite else [rem]
     while stack:
         c = stack.pop()
         if _is_prime_cofactor(c):
             fac[c] = fac.get(c, 0) + 1
         else:
-            stack.extend(_take_apart(c, budget))
+            stack.extend(_take_apart(c, d, budget))
     return _cache_part(n, fac, cache)
 
 
@@ -630,7 +658,7 @@ def factor_qm_minus_1(q: int, m: int, *, cache: "FactorCache | None" = None,
         raise ValueError("m must be positive")
     fac: dict[int, int] = {}
     for part, d, pf, rem in _split_parts(q, _divisors_of(m), cache):
-        for p, e in _finish_part(part, pf, rem, cache, budget).factors:
+        for p, e in _finish_part(part, d, pf, rem, cache, budget).factors:
             fac[p] = fac.get(p, 0) + e
     return factored(q ** m - 1, fac.items())
 
@@ -651,7 +679,7 @@ def _exact_omega(parts, cache: "FactorCache | None",
         elif rem > 1 and _two_primes(rem, d):
             pairs += 1
         elif rem > 1:
-            fac = dict(_finish_part(part, fac, rem, cache, budget,
+            fac = dict(_finish_part(part, d, fac, rem, cache, budget,
                                     composite=True).factors)
         primes.update(fac)
     return len(primes) + 2 * pairs

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from math import prod
 
 from .arith import (
@@ -171,9 +170,17 @@ def certificate_search(q: int, m: int, n: int, *,
     and Delta = Dnum / dnum, Dnum = (2s-1) P + 2 dnum, when dnum > 0.  So
     sieve_condition's den^2 q^(m-4) > (num (n+2) W(l)^2)^2 holds exactly
     when dnum^2 q^(m-4) > (Dnum (n+2) 4^|subset|)^2: both sides scale by
-    the same square when num/den is not in lowest terms.  Only the first
-    passing subset is built by evaluate_l, so the result is the one
-    evaluate_l on every subset in turn would give."""
+    the same square when num/den is not in lowest terms.
+
+    Of the subsets of one size, the one of the smallest primes has the
+    least l and the largest dnum, since it omits the largest primes,
+    whose shares are the least.  With K = (n+2) 4^|subset| and dnum > 0
+    the test reads dnum (q^((m-4)/2) - 2K) > (2s-1) P K, which for
+    s >= 1 holds for every dnum above some bound or for none: when that
+    subset fails, every subset of its size fails.  With s = 0 it is the
+    only subset.  So one test a size finds the subset that evaluate_l on
+    every subset in turn would pass first, and only that one is built by
+    evaluate_l."""
     prime_power(q)  # ValueError unless q is a prime power
     if n < 1:
         raise ValueError("q >= 2, n >= 1, W >= 1 required")
@@ -182,18 +189,16 @@ def certificate_search(q: int, m: int, n: int, *,
     group = factor_qm_minus_1(q, m, cache=cache, budget=budget)
     primes = group.primes
     P = prod(primes)
-    share = {p: P // p for p in primes}
-    dnum_none = P - 2 * sum(share.values())  # dnum when l = 1
+    share = [P // p for p in primes]
     power = q ** (m - 4)
-    head = primes[:6]
-    for size in range(len(head) + 1):
-        Dnum_s = (2 * (len(primes) - size) - 1) * P
-        for subset in sorted(combinations(head, size), key=prod):
-            dnum = dnum_none + 2 * sum(share[p] for p in subset)
-            if dnum > 0 and dnum * dnum * power > (
-                    (Dnum_s + 2 * dnum) * (n + 2) << 2 * size) ** 2:
-                return evaluate_l(q, m, n, group, factored(
-                    prod(subset), [(p, 1) for p in subset]))
+    for size in range(min(6, len(primes)) + 1):
+        dnum = P - 2 * sum(share[size:])
+        Dnum = (2 * (len(primes) - size) - 1) * P + 2 * dnum
+        if dnum > 0 and dnum * dnum * power > (
+                Dnum * (n + 2) << 2 * size) ** 2:
+            subset = primes[:size]
+            return evaluate_l(q, m, n, group, factored(
+                prod(subset), [(p, 1) for p in subset]))
     return None
 
 

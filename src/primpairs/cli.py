@@ -212,8 +212,13 @@ def build_parser() -> _Parser:
     parser.add_argument("--out", default=None)
 
     factoring = argparse.ArgumentParser(add_help=False)
-    factoring.add_argument("--budget-factor", type=positive,
-                           default=DEFAULT_FACTOR_BUDGET)
+    factoring.add_argument(
+        "--budget-factor", type=positive, default=DEFAULT_FACTOR_BUDGET,
+        help="modular squarings one Pollard rho call may spend, "
+             "floor(log2 k) for each step of its walk y^k + c that enters "
+             "a gcd (about half of its steps; the rest only move the walk "
+             "on); each composite cofactor taken apart gets a call of its "
+             "own (default %(default)s)")
     counting = argparse.ArgumentParser(add_help=False)
     counting.add_argument("--seed", type=int64, default=0)
     counting.add_argument("--budget-enum", type=positive,

@@ -212,6 +212,16 @@ def test_factor_recomposes(n):
     assert all(is_probable_prime(p) for p in f.primes)
 
 
+def test_rho_walks_x_to_the_k_on_cyclotomic_cofactors():
+    # the cofactor of Phi_7(2311), 40091927 * 18725553757, both primes
+    # 1 (mod 14): the walk y**14 + c splits it in 9,213 modular squarings
+    # (3,071 steps), y**2 + c needs 15,615
+    n = 750743534260219739
+    assert arith._brent_rho(n, 14, 12_000) in (40091927, 18725553757)
+    with pytest.raises(arith.FactorBudgetExceeded):
+        arith._brent_rho(n, 2, 12_000)
+
+
 def test_perfect_power_beyond_float_range():
     p = 2 ** 607 - 1
     assert arith._perfect_power(p ** 3) == (p, 3)
@@ -440,7 +450,10 @@ def test_square_root_stop_splits_cyclotomic_values(dq):
 
 # the square of a chunk's first prime, stopped at that chunk, would be
 # taken for a prime; so would a product of two primes of one chunk,
-# stopped by the chunk's last prime
+# stopped by the chunk's last prime; the primes up to 53, with and
+# without powers of 2 and 3, meet chunk 0 in a gcd above 2**63
+@example(math.prod(primes_upto(53)))
+@example(math.prod(primes_upto(53)) * 2 ** 7 * 3 ** 4)
 @example(_PRIMES[_CHUNK_LOS[0]] ** 2)
 @example(_PRIMES[_CHUNK_LOS[0]] * _PRIMES[_CHUNK_LOS[0] + 1])
 @example(_PRIMES[_CHUNK_LOS[-1]] ** 2)
@@ -457,6 +470,27 @@ def test_square_root_stop_splits_cyclotomic_values(dq):
               st.integers(min_value=1, max_value=50))))
 def test_square_root_stop_splits_plain_integers(n):
     _assert_split_matches_sympy(n, 1)
+
+
+# Phi_7(2311) = 7 * 29 * 40091927 * 18725553757 and Phi_7(59) = 43 * 281
+# * 757 * 4691: the first chunk of table 7, whose least prime is 7, meets
+# each in a gcd of several primes, at least 7**2, read from its residues
+@pytest.mark.parametrize("q, hit", [(2311, 7 * 29),
+                                    (59, 43 * 281 * 757 * 4691)])
+def test_a_chunk_hit_of_several_primes_is_read_from_residues(q, hit):
+    part = arith.cyclotomic_value(7, q)
+    lo, _, prod = arith._get_trial_chunks(7)[0]
+    assert math.gcd(part, prod) == hit >= _PRIMES[lo] ** 2
+    _assert_split_matches_sympy(part, 7)
+
+
+@example(0)
+@example(2 ** 63)
+@example(2 ** 96 - 1)
+@given(st.integers(min_value=0, max_value=2 ** 300))
+def test_residues_are_the_remainders_by_each_prime(c):
+    ps = arith._trial_primes()[::401]
+    assert arith._residues(c, ps).tolist() == [c % p for p in ps.tolist()]
 
 
 def test_cyclotomic_values():

@@ -458,6 +458,15 @@ def test_exit_code_budget_exceeded(capsys):
     assert code == 2 and "budget exceeded" in err
 
 
+def test_exit_code_budget_exceeded_on_a_cyclotomic_cofactor(capsys):
+    # 2**256 - 1 reaches rho on Phi_256(2) = 2**128 + 1, whose primes
+    # are both 1 (mod 256)
+    code, out, err = run(capsys, "check", "2", "256", "2",
+                         "--budget-factor", "100000")
+    assert code == 2 and out == ""
+    assert "budget exceeded" in err and "Traceback" not in err
+
+
 def test_scan_out_of_memory_is_budget_exit(capsys, monkeypatch):
     # a huge n asks numpy for more memory than there is; never allocated here
     from primpairs import verify

@@ -908,22 +908,23 @@ def test_scan_factors_only_straddling_pairs(monkeypatch):
     bracket on omega; omega is found exactly only for the pairs whose
     bracket straddles margin 0, 139 of the 3,016 for n = 2, all with
     m = 7.  Pollard rho runs on one cofactor alone, that of Phi_7(3061),
-    which has a prime below its cube root; the other cofactors are proven
-    products of two primes."""
+    which has a prime below its cube root, and walks y**14 + c on it; the
+    other cofactors are proven products of two primes."""
     from sympy import factorint
 
     rho, split = arith._brent_rho, []
 
-    def tracked_rho(n, budget):
-        split.append(n)
-        return rho(n, budget)
+    def tracked_rho(n, k, budget):
+        split.append((n, k))
+        return rho(n, k, budget)
 
     sent = _track_exact(monkeypatch)
     monkeypatch.setattr(arith, "_brent_rho", tracked_rho)
     records = V.scan_exceptions(2)
     assert len(records) == 495
     assert len(sent) == 139 and {m for _, m, *_ in sent} == {7}
-    assert split == [arith._trial_divide(arith.cyclotomic_value(7, 3061), 7)[1]]
+    assert split == [
+        (arith._trial_divide(arith.cyclotomic_value(7, 3061), 7)[1], 14)]
     for q, m, lo, hi, om in sent:
         assert main_margin(q, m, 2, 1 << hi) <= 0 <= main_margin(q, m, 2, 1 << lo)
         assert om == len(factorint(q ** m - 1))
